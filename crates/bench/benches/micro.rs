@@ -5,11 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use cole_hash::{hash_entry, sha256};
+use cole_hash::{hash_entry, hash_pair, portable, sha256};
 use cole_learned::{EpsilonTrainer, IndexFileBuilder};
 use cole_mbtree::MbTree;
 use cole_mht::MerkleFileBuilder;
-use cole_primitives::{index_epsilon, Address, CompoundKey, StateValue, PAGE_SIZE};
+use cole_primitives::{index_epsilon, Address, CompoundKey, Digest, StateValue, PAGE_SIZE};
 use cole_storage::{PageCache, PageFile};
 
 fn keys(n: u64) -> Vec<CompoundKey> {
@@ -18,14 +18,55 @@ fn keys(n: u64) -> Vec<CompoundKey> {
         .collect()
 }
 
-fn bench_sha256(c: &mut Criterion) {
+/// Both SHA-256 kernels side by side: the portable scalar rounds first, then
+/// — unless they are the same thing on this CPU — whatever
+/// `cole_hash::backend()` selected. Inputs are the sizes the engine hashes:
+/// one block, a page, a large buffer, a disclosed Bloom filter of the size
+/// the benchmark's runs carry (78 KB, hashed as the verifier hashes it —
+/// straight from the received bytes), a Merkle leaf and an MHT node pair.
+fn bench_hash_kernels(c: &mut Criterion) {
+    type Kernel = (
+        &'static str,
+        fn(&[u8]) -> Digest,
+        fn(&CompoundKey, &StateValue) -> Digest,
+        fn(&Digest, &Digest) -> Digest,
+    );
+    let mut kernels: Vec<Kernel> = vec![(
+        "scalar",
+        portable::sha256,
+        portable::hash_entry,
+        portable::hash_pair,
+    )];
+    if cole_hash::backend() != "scalar" {
+        kernels.push((cole_hash::backend(), sha256, hash_entry, hash_pair));
+    }
+
     let mut group = c.benchmark_group("sha256");
-    for size in [64usize, 4096] {
+    for (label, size) in [
+        ("64B", 64usize),
+        ("4KiB", 4 << 10),
+        ("64KiB", 64 << 10),
+        ("bloom_digest_78KB", 78 << 10),
+    ] {
         let data = vec![0xabu8; size];
         group.throughput(Throughput::Bytes(size as u64));
-        group.bench_function(format!("{size}B"), |b| b.iter(|| sha256(&data)));
+        for (kernel, digest, ..) in &kernels {
+            group.bench_function(format!("{label}/{kernel}"), |b| b.iter(|| digest(&data)));
+        }
     }
     group.finish();
+
+    let key = CompoundKey::new(Address::from_low_u64(1), 2);
+    let value = StateValue::from_u64(3);
+    let (left, right) = (sha256(b"left"), sha256(b"right"));
+    for (kernel, _, entry, pair) in &kernels {
+        c.bench_function(format!("hash_entry/{kernel}"), |b| {
+            b.iter(|| entry(&key, &value))
+        });
+        c.bench_function(format!("hash_pair/{kernel}"), |b| {
+            b.iter(|| pair(&left, &right))
+        });
+    }
 }
 
 fn bench_model_training(c: &mut Criterion) {
@@ -209,12 +250,6 @@ fn bench_read_path(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn bench_entry_hash(c: &mut Criterion) {
-    let key = CompoundKey::new(Address::from_low_u64(1), 2);
-    let value = StateValue::from_u64(3);
-    c.bench_function("hash_entry", |b| b.iter(|| hash_entry(&key, &value)));
-}
-
 fn bench_write_path(c: &mut Criterion) {
     // The three layers of the sharded write path, isolated: WAL append cost
     // per sync policy (what group commit amortizes), batch insertion into 1
@@ -326,13 +361,12 @@ fn bench_write_path(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_sha256,
+    bench_hash_kernels,
     bench_model_training,
     bench_merkle_file,
     bench_mbtree,
     bench_page_reads,
     bench_read_path,
-    bench_entry_hash,
     bench_write_path
 );
 criterion_main!(benches);

@@ -329,8 +329,13 @@ fn read_path_json(cfg: &SweepConfig, micro: &MicroNumbers, sweep: &[SweepPoint])
     out.push_str("  \"schema_version\": 1,\n");
     out.push_str(&format!(
         "  \"workload\": {{\"blocks\": {}, \"txs_per_block\": {}, \"accounts\": {}, \
-         \"memtable\": {}, \"probes\": {}}},\n",
-        cfg.blocks, cfg.txs_per_block, cfg.accounts, cfg.memtable, cfg.probes,
+         \"memtable\": {}, \"probes\": {}, \"hash_backend\": \"{}\"}},\n",
+        cfg.blocks,
+        cfg.txs_per_block,
+        cfg.accounts,
+        cfg.memtable,
+        cfg.probes,
+        cole_hash::backend(),
     ));
     out.push_str(&format!(
         "  \"micro\": {{\n    \"index_entries\": {},\n    \"scan_entries\": {},\n    \

@@ -186,7 +186,7 @@ fn server_json(meta: &RunMeta, points: &[Point]) -> String {
         "  \"workload\": {{\"preload_blocks\": {}, \"writes_per_block\": {}, \
          \"accounts\": {}, \"prov_every\": {}, \"prov_span\": {}, \
          \"historical_every\": {}, \"retain\": {}, \"ingest_interval_us\": {}, \
-         \"ingest_batch\": {}}},\n",
+         \"ingest_batch\": {}, \"hash_backend\": \"{}\"}},\n",
         meta.preload_blocks,
         meta.writes_per_block,
         meta.accounts,
@@ -195,7 +195,8 @@ fn server_json(meta: &RunMeta, points: &[Point]) -> String {
         meta.historical_every,
         meta.retain,
         meta.ingest_interval_us,
-        meta.ingest_batch
+        meta.ingest_batch,
+        cole_hash::backend()
     ));
     out.push_str("  \"sweep\": [\n");
     for (i, p) in points.iter().enumerate() {

@@ -12,7 +12,10 @@ use cole_bench::{Args, Json};
 /// Known `bench` discriminators with the array field each schema requires
 /// and the schema versions the validator accepts *for that bench*. Bump a
 /// bench's entry alongside its writer — `server` moved to 2 when the sweep
-/// gained the under-ingest pass and historical-query columns.
+/// gained the under-ingest pass and historical-query columns. Fields that
+/// are only ever appended to an object (`workload.hash_backend`, absent from
+/// reports written before the SHA-NI kernel) need no bump: nothing here
+/// requires them.
 const KNOWN_BENCHES: &[(&str, &str, &[u64])] = &[
     ("read_path", "cache_sweep", &[1]),
     ("write_path", "sweep", &[1]),

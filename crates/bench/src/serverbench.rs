@@ -226,11 +226,12 @@ fn run_connection(
     while received < cfg.ops_per_connection {
         while sent < cfg.ops_per_connection && pending.len() < cfg.depth {
             let addr = Address::from_low_u64(next_key());
-            let is_prov = cfg.prov_every > 0 && (sent + 1) % cfg.prov_every == 0;
+            let is_prov = cfg.prov_every > 0 && (sent + 1).is_multiple_of(cfg.prov_every);
             let (msg, expect) = if is_prov {
                 prov_seq += 1;
-                let at = (cfg.historical_every > 0 && prov_seq % cfg.historical_every == 0)
-                    .then_some(last_known_height);
+                let at = (cfg.historical_every > 0
+                    && prov_seq.is_multiple_of(cfg.historical_every))
+                .then_some(last_known_height);
                 (
                     Message::ProvQuery {
                         addr,

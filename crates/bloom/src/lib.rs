@@ -26,8 +26,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cole_hash::sha256;
+use cole_hash::{sha256, Sha256};
 use cole_primitives::{Address, ColeError, Digest, Result};
+
+/// Length of the serialization's header: three little-endian `u64`s.
+const HEADER_LEN: usize = 24;
+
+/// The most probe positions a filter uses per address
+/// ([`BloomFilter::with_capacity`] clamps to it, decoding rejects more).
+const MAX_HASHES: u32 = 16;
 
 /// A Bloom filter over state [`Address`]es.
 ///
@@ -56,7 +63,9 @@ impl BloomFilter {
         let n = expected_items as f64;
         let ln2 = std::f64::consts::LN_2;
         let num_bits = ((-n * fpr.ln()) / (ln2 * ln2)).ceil().max(64.0) as u64;
-        let num_hashes = ((num_bits as f64 / n) * ln2).round().clamp(1.0, 16.0) as u32;
+        let num_hashes = ((num_bits as f64 / n) * ln2)
+            .round()
+            .clamp(1.0, f64::from(MAX_HASHES)) as u32;
         BloomFilter {
             bits: vec![0u64; num_bits.div_ceil(64) as usize],
             num_bits,
@@ -104,14 +113,22 @@ impl BloomFilter {
         self.bits.len() as u64 * 8
     }
 
+    /// The 24-byte header of the canonical serialization: `num_bits`,
+    /// `num_hashes` and `num_items` as little-endian `u64`s.
+    fn header(&self) -> [u8; HEADER_LEN] {
+        let mut out = [0u8; HEADER_LEN];
+        out[..8].copy_from_slice(&self.num_bits.to_le_bytes());
+        out[8..16].copy_from_slice(&u64::from(self.num_hashes).to_le_bytes());
+        out[16..].copy_from_slice(&self.num_items.to_le_bytes());
+        out
+    }
+
     /// Canonical serialization: header (num_bits, num_hashes, num_items)
     /// followed by the bit array in little-endian 64-bit words.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.bits.len() * 8);
-        out.extend_from_slice(&self.num_bits.to_le_bytes());
-        out.extend_from_slice(&u64::from(self.num_hashes).to_le_bytes());
-        out.extend_from_slice(&self.num_items.to_le_bytes());
+        let mut out = Vec::with_capacity(HEADER_LEN + self.bits.len() * 8);
+        out.extend_from_slice(&self.header());
         for word in &self.bits {
             out.extend_from_slice(&word.to_le_bytes());
         }
@@ -120,36 +137,44 @@ impl BloomFilter {
 
     /// Deserializes a filter produced by [`BloomFilter::to_bytes`].
     ///
+    /// Decoding is strict — the bytes may come from an untrusted proof — and
+    /// canonical: every accepted byte string is exactly what `to_bytes`
+    /// returns for the decoded filter, so a verifier may hash the bytes it
+    /// received instead of re-serializing.
+    ///
     /// # Errors
     ///
-    /// Returns [`ColeError::InvalidEncoding`] if the byte string is malformed.
+    /// Returns [`ColeError::InvalidEncoding`] if the byte string is malformed:
+    /// a length that is not header plus whole words, `num_bits` of zero or
+    /// inconsistent with the payload, or `num_hashes` outside
+    /// `1..=MAX_HASHES` (which also rejects any set upper header bits).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 24 || (bytes.len() - 24) % 8 != 0 {
+        if bytes.len() < HEADER_LEN || !(bytes.len() - HEADER_LEN).is_multiple_of(8) {
             return Err(ColeError::InvalidEncoding(
                 "bloom filter byte string has invalid length".into(),
             ));
         }
-        let u64_at = |i: usize| {
+        let mut words = bytes.chunks_exact(8).map(|c| {
             let mut buf = [0u8; 8];
-            buf.copy_from_slice(&bytes[i..i + 8]);
+            buf.copy_from_slice(c);
             u64::from_le_bytes(buf)
-        };
-        let num_bits = u64_at(0);
-        let num_hashes = u64_at(8) as u32;
-        let num_items = u64_at(16);
-        let bits: Vec<u64> = bytes[24..]
-            .chunks_exact(8)
-            .map(|c| {
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(c);
-                u64::from_le_bytes(buf)
-            })
-            .collect();
-        if bits.len() as u64 != num_bits.div_ceil(64) || num_hashes == 0 {
+        });
+        let mut header = || words.next().expect("length checked above");
+        let (num_bits, num_hashes, num_items) = (header(), header(), header());
+        let bits: Vec<u64> = words.collect();
+        if num_bits == 0 || bits.len() as u64 != num_bits.div_ceil(64) {
             return Err(ColeError::InvalidEncoding(
                 "bloom filter header inconsistent with payload".into(),
             ));
         }
+        let num_hashes = u32::try_from(num_hashes)
+            .ok()
+            .filter(|k| (1..=MAX_HASHES).contains(k))
+            .ok_or_else(|| {
+                ColeError::InvalidEncoding(format!(
+                    "bloom filter hash count {num_hashes} outside 1..={MAX_HASHES}"
+                ))
+            })?;
         Ok(BloomFilter {
             bits,
             num_bits,
@@ -160,13 +185,26 @@ impl BloomFilter {
 
     /// Digest of the canonical serialization. Incorporated into a run's root
     /// hash so provenance proofs can rely on the filter's contents (§4).
+    ///
+    /// Streams header and words into the hasher; the serialization is never
+    /// materialized.
     #[must_use]
     pub fn digest(&self) -> Digest {
-        sha256(&self.to_bytes())
+        let mut hasher = Sha256::new();
+        hasher.update(&self.header());
+        // A block-sized batch of words per `update`, not one call per word.
+        let mut batch = [0u8; 512];
+        for words in self.bits.chunks(batch.len() / 8) {
+            for (bytes, word) in batch.chunks_exact_mut(8).zip(words) {
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
+            hasher.update(&batch[..words.len() * 8]);
+        }
+        hasher.finalize()
     }
 
     fn base_hashes(addr: &Address) -> (u64, u64) {
-        let digest = sha256(addr.as_slice());
+        let digest = sha256(addr.as_bytes());
         let bytes = digest.as_bytes();
         let mut h1 = [0u8; 8];
         let mut h2 = [0u8; 8];
@@ -235,6 +273,62 @@ mod tests {
     fn from_bytes_rejects_garbage() {
         assert!(BloomFilter::from_bytes(&[1, 2, 3]).is_err());
         assert!(BloomFilter::from_bytes(&[0u8; 25]).is_err());
+    }
+
+    /// A serialized filter with the given header over `words` zero words.
+    fn forged(num_bits: u64, num_hashes: u64, words: usize) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&num_bits.to_le_bytes());
+        bytes.extend_from_slice(&num_hashes.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.resize(HEADER_LEN + words * 8, 0);
+        bytes
+    }
+
+    #[test]
+    fn from_bytes_rejects_a_zero_bit_filter() {
+        // Header only, `num_bits == 0`: probing it would divide by zero.
+        assert!(BloomFilter::from_bytes(&forged(0, 1, 0)).is_err());
+        assert!(BloomFilter::from_bytes(&forged(0, 7, 1)).is_err());
+    }
+
+    #[test]
+    fn from_bytes_rejects_hash_counts_with_capacity_cannot_produce() {
+        assert!(BloomFilter::from_bytes(&forged(64, 1, 1)).is_ok());
+        assert!(BloomFilter::from_bytes(&forged(64, 16, 1)).is_ok());
+        assert!(BloomFilter::from_bytes(&forged(64, 0, 1)).is_err());
+        assert!(BloomFilter::from_bytes(&forged(64, 17, 1)).is_err());
+        // Differs from an accepted header only above bit 31: used to decode
+        // to the same filter as `num_hashes == 7`.
+        assert!(BloomFilter::from_bytes(&forged(64, (1 << 32) | 7, 1)).is_err());
+        assert!(BloomFilter::from_bytes(&forged(64, u64::MAX, 1)).is_err());
+    }
+
+    #[test]
+    fn accepted_bytes_reserialize_to_themselves() {
+        let mut bytes = forged(100, 3, 2);
+        // Bits past `num_bits` in the last word are carried, not normalized.
+        bytes[HEADER_LEN + 15] = 0xff;
+        let filter = BloomFilter::from_bytes(&bytes).unwrap();
+        assert_eq!(filter.to_bytes(), bytes);
+        assert_eq!(filter.digest(), sha256(&bytes));
+    }
+
+    #[test]
+    fn streamed_digest_equals_digest_of_serialization() {
+        // Word counts around the 64-word batch the digest streams in.
+        for items in [1usize, 50, 427, 428, 429, 5_000] {
+            let mut filter = BloomFilter::with_capacity(items, 0.01);
+            for i in 0..items as u64 {
+                filter.insert(&Address::from_low_u64(i));
+            }
+            assert_eq!(
+                filter.digest(),
+                sha256(&filter.to_bytes()),
+                "{items} items, {} words",
+                filter.bits.len()
+            );
+        }
     }
 
     #[test]

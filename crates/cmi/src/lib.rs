@@ -76,7 +76,7 @@ fn encode_history(history: &[(u64, StateValue)]) -> Vec<u8> {
 }
 
 fn decode_history(bytes: &[u8]) -> Result<Vec<(u64, StateValue)>> {
-    if bytes.len() % (8 + VALUE_LEN) != 0 {
+    if !bytes.len().is_multiple_of(8 + VALUE_LEN) {
         return Err(ColeError::InvalidEncoding(
             "malformed CMI history blob".into(),
         ));

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use cole_bloom::BloomFilter;
-use cole_hash::{hash_entry, hash_pair, Sha256};
+use cole_hash::{hash_entry, hash_pair, sha256, Sha256};
 use cole_mbtree::MbProof;
 use cole_mht::RangeProof;
 use cole_primitives::{
@@ -185,12 +185,14 @@ impl ColeProof {
                     collected.extend(entries.iter().copied());
                 }
                 ComponentProof::RunBloomNegative { bloom, merkle_root } => {
-                    let filter = BloomFilter::from_bytes(bloom)?;
-                    if filter.contains(&addr) {
+                    // Decoding is strict and canonical (`from_bytes(b)?` always
+                    // re-serializes to `b`), so the digest the run committed
+                    // to is the digest of the bytes as received.
+                    if BloomFilter::from_bytes(bloom)?.contains(&addr) {
                         return Ok(false);
                     }
                     root_hash_list
-                        .push((RootEntryKind::Run, hash_pair(merkle_root, &filter.digest())));
+                        .push((RootEntryKind::Run, hash_pair(merkle_root, &sha256(bloom))));
                 }
                 ComponentProof::RunUnsearched { commitment } => {
                     if !early_stop_justified {

@@ -801,7 +801,7 @@ impl PinnedSlot {
     /// one).
     pub fn pin_if_different(&self, page: &PinnedPage) {
         let mut slot = lock_recover(&self.slot);
-        if slot.as_ref().map_or(true, |p| p.page_id != page.page_id) {
+        if slot.as_ref().is_none_or(|p| p.page_id != page.page_id) {
             *slot = Some(page.clone());
         }
     }

@@ -2,7 +2,9 @@
 //!
 //! The paper authenticates blockchain data with Merkle structures built from
 //! a cryptographic hash function "such as SHA-256" (Definition 2). This crate
-//! provides a from-scratch FIPS 180-4 SHA-256 implementation plus the small
+//! provides a from-scratch FIPS 180-4 SHA-256 implementation — one
+//! compression kernel with a hardware (x86-64 SHA-NI, detected at run time)
+//! and a portable scalar implementation, see [`backend`] — plus the small
 //! hashing helpers the rest of the workspace uses (hashing key–value pairs,
 //! concatenating child digests, combining root hash lists).
 //!
@@ -20,31 +22,36 @@
 //! assert_eq!(hasher.finalize(), d1);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the SHA-NI kernel needs the workspace's one `unsafe`
+// expression (the feature-guarded call in `sha_ni.rs`, which carries the only
+// `#[allow(unsafe_code)]`); `cole_lint` checks there is exactly one.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod differential;
+mod scalar;
 mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod sha_ni;
 
-pub use sha256::Sha256;
+pub use sha256::{backend, Sha256};
 
 use cole_primitives::{CompoundKey, Digest, StateValue};
+use sha256::{compress, oneshot, oneshot_short, Compress};
 
 /// Computes the SHA-256 digest of `data` in one shot.
+#[inline]
 #[must_use]
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut hasher = Sha256::new();
-    hasher.update(data);
-    hasher.finalize()
+    oneshot(compress, data)
 }
 
 /// Hashes a compound key–value pair: `h(K ‖ value)` (Definition 2, bottom
 /// layer of COLE's Merkle files).
 #[must_use]
 pub fn hash_entry(key: &CompoundKey, value: &StateValue) -> Digest {
-    let mut hasher = Sha256::new();
-    hasher.update(&key.to_bytes());
-    hasher.update(value.as_bytes());
-    hasher.finalize()
+    entry(compress, key, value)
 }
 
 /// Hashes the concatenation of child digests: `h(h_1 ‖ h_2 ‖ … ‖ h_m)`
@@ -61,10 +68,7 @@ pub fn hash_digests(children: &[Digest]) -> Digest {
 /// Hashes two child digests, the common binary-MHT case.
 #[must_use]
 pub fn hash_pair(left: &Digest, right: &Digest) -> Digest {
-    let mut hasher = Sha256::new();
-    hasher.update(left.as_bytes());
-    hasher.update(right.as_bytes());
-    hasher.finalize()
+    pair(compress, left, right)
 }
 
 /// Hashes arbitrary labelled byte fields. Used by trie nodes where a node
@@ -77,6 +81,49 @@ pub fn hash_fields(fields: &[&[u8]]) -> Digest {
         hasher.update(field);
     }
     hasher.finalize()
+}
+
+/// 28 key bytes + 32 value bytes: two blocks once padded, one kernel call.
+#[inline]
+fn entry(kernel: impl Compress, key: &CompoundKey, value: &StateValue) -> Digest {
+    oneshot_short(kernel, &[&key.to_bytes(), value.as_bytes()])
+}
+
+/// 64 message bytes: exactly two blocks once padded, one kernel call.
+#[inline]
+fn pair(kernel: impl Compress, left: &Digest, right: &Digest) -> Digest {
+    oneshot_short(kernel, &[left.as_bytes(), right.as_bytes()])
+}
+
+/// The same digests computed with the portable scalar kernel, whatever the
+/// CPU offers.
+///
+/// Production code calls the crate-root functions, which pick the fastest
+/// kernel themselves. These exist so that tests and benchmarks can hold the
+/// two kernels side by side without a switch that could select one in
+/// production.
+pub mod portable {
+    use cole_primitives::{CompoundKey, Digest, StateValue};
+
+    use crate::scalar::compress;
+
+    /// [`sha256`](crate::sha256) on the scalar kernel.
+    #[must_use]
+    pub fn sha256(data: &[u8]) -> Digest {
+        crate::oneshot(compress, data)
+    }
+
+    /// [`hash_entry`](crate::hash_entry) on the scalar kernel.
+    #[must_use]
+    pub fn hash_entry(key: &CompoundKey, value: &StateValue) -> Digest {
+        crate::entry(compress, key, value)
+    }
+
+    /// [`hash_pair`](crate::hash_pair) on the scalar kernel.
+    #[must_use]
+    pub fn hash_pair(left: &Digest, right: &Digest) -> Digest {
+        crate::pair(compress, left, right)
+    }
 }
 
 #[cfg(test)]

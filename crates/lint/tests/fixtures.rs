@@ -51,6 +51,47 @@ fn missing_forbid_unsafe_is_caught() {
 }
 
 #[test]
+fn the_one_sanctioned_unsafe_site_is_clean() {
+    // `crates/hash` with `deny`, one waived and justified `unsafe`, and an
+    // `unsafe` inside a test module that does not count.
+    let findings = lint_fixture("good_unsafe_exception");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn a_second_unsafe_in_the_excepted_crate_is_caught() {
+    let findings = lint_fixture("bad_unsafe_second_site");
+    // Both sites are reported: the linter cannot know which one is new.
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert!(findings.iter().all(|f| f.rule == "forbid-unsafe"));
+    assert!(findings
+        .iter()
+        .all(|f| f.message.contains("exactly one") && f.message.contains("found 2")));
+    let paths: Vec<&Path> = findings.iter().map(|f| f.path.as_path()).collect();
+    assert_eq!(
+        paths,
+        [
+            Path::new("crates/hash/src/lib.rs"),
+            Path::new("crates/hash/src/sha_ni.rs")
+        ]
+    );
+}
+
+#[test]
+fn an_unsafe_site_without_a_safety_comment_is_caught() {
+    let findings = lint_fixture("bad_unsafe_no_safety");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "forbid-unsafe");
+    assert_eq!(findings[0].path, Path::new("crates/hash/src/lib.rs"));
+    assert_eq!(findings[0].line, 11);
+    assert!(
+        findings[0].message.contains("SAFETY:"),
+        "{}",
+        findings[0].message
+    );
+}
+
+#[test]
 fn unaudited_ordering_is_caught() {
     let findings = lint_fixture("bad_ordering");
     assert_eq!(findings.len(), 1, "{findings:?}");

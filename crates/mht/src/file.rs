@@ -12,7 +12,7 @@ use crate::proof::{LayerSiblings, RangeProof};
 /// Number of digests per Merkle-file page. [`PAGE_SIZE`] is a multiple of
 /// [`DIGEST_LEN`], so digests never straddle a page boundary.
 const DIGESTS_PER_PAGE: u64 = (PAGE_SIZE / DIGEST_LEN) as u64;
-const _: () = assert!(PAGE_SIZE % DIGEST_LEN == 0);
+const _: () = assert!(PAGE_SIZE.is_multiple_of(DIGEST_LEN));
 
 /// A reader over a Merkle file produced by
 /// [`MerkleFileBuilder`](crate::MerkleFileBuilder).

@@ -87,7 +87,11 @@ impl TxInclusionProof {
         let mut siblings = Vec::new();
         let mut pos = index;
         while layer.len() > 1 {
-            let sibling = if pos % 2 == 0 { pos + 1 } else { pos - 1 };
+            let sibling = if pos.is_multiple_of(2) {
+                pos + 1
+            } else {
+                pos - 1
+            };
             if sibling < layer.len() {
                 siblings.push(layer[sibling]);
             }
@@ -118,10 +122,14 @@ impl TxInclusionProof {
         let mut layer_len = self.num_transactions;
         let mut sibling_iter = self.siblings.iter();
         while layer_len > 1 {
-            let sibling_pos = if pos % 2 == 0 { pos + 1 } else { pos - 1 };
+            let sibling_pos = if pos.is_multiple_of(2) {
+                pos + 1
+            } else {
+                pos - 1
+            };
             if sibling_pos < layer_len {
                 let sibling = sibling_iter.next().copied().unwrap_or(Digest::ZERO);
-                digest = if pos % 2 == 0 {
+                digest = if pos.is_multiple_of(2) {
                     hash_pair(&digest, &sibling)
                 } else {
                     hash_pair(&sibling, &digest)
@@ -237,7 +245,7 @@ impl HeaderChain {
             && self
                 .headers
                 .first()
-                .map_or(true, |genesis| genesis.prev_hash == Digest::ZERO)
+                .is_none_or(|genesis| genesis.prev_hash == Digest::ZERO)
     }
 
     /// Verifies that `tx` is included in the block at `height` using the

@@ -37,7 +37,7 @@ fn main() -> cole::Result<()> {
         height += 1;
         let block = workload.next_block(height, 100);
         execute_block(&mut store, &block)?;
-        if height % 150 == 0 {
+        if height.is_multiple_of(150) {
             let stats = store.storage_stats()?;
             let levels: Vec<String> = (1..=store.num_disk_levels())
                 .map(|l| format!("L{l}:{} runs", store.runs_in_level(l)))

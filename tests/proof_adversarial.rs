@@ -146,3 +146,66 @@ fn proof_for_old_state_root_fails_after_new_blocks() {
         .unwrap());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `verify_prov` on a forged proof must come back with `Err` or `Ok(false)`.
+fn assert_rejected(store: &Cole, addr: Address, forged: &ColeProof, hstate: Digest) {
+    let forged = ProvenanceResult {
+        values: Vec::new(),
+        proof: forged.to_bytes(),
+    };
+    if let Ok(ok) = store.verify_prov(addr, 10, 30, &forged, hstate) {
+        assert!(!ok);
+    }
+}
+
+#[test]
+fn forged_bloom_disclosures_are_rejected_without_panicking() {
+    let dir = tmpdir("forged-bloom");
+    let (store, _, hstate) = build_store(&dir);
+    // An address no run contains: the honest proof discloses run filters.
+    let ghost = Address::from_low_u64(0xdead_beef);
+    let result = store.prov_query(ghost, 10, 30).unwrap();
+    assert!(store.verify_prov(ghost, 10, 30, &result, hstate).unwrap());
+    let honest = ColeProof::from_bytes(&result.proof).unwrap();
+    let disclosed = honest
+        .components
+        .iter()
+        .position(|c| matches!(c, ComponentProof::RunBloomNegative { .. }))
+        .expect("a run is skipped by its filter");
+    let replace_bloom = |bytes: Vec<u8>| {
+        let mut forged = honest.clone();
+        if let ComponentProof::RunBloomNegative { bloom, .. } = &mut forged.components[disclosed] {
+            *bloom = bytes.into();
+        }
+        forged
+    };
+    let ComponentProof::RunBloomNegative { bloom, .. } = &honest.components[disclosed] else {
+        unreachable!()
+    };
+
+    // A header-only filter with zero bits and one hash function: probing it
+    // used to divide by zero inside the *client*.
+    let mut zero_bits = vec![0u8; 24];
+    zero_bits[8] = 1;
+    assert_rejected(&store, ghost, &replace_bloom(zero_bits), hstate);
+
+    // The honest filter with only the upper half of `num_hashes` changed:
+    // used to decode to the very same filter.
+    let mut upper_bits = bloom.to_vec();
+    upper_bits[12] = 1;
+    assert_rejected(&store, ghost, &replace_bloom(upper_bits), hstate);
+
+    // More hash functions than any honest filter has.
+    let mut many_hashes = bloom.to_vec();
+    many_hashes[8] = 200;
+    assert_rejected(&store, ghost, &replace_bloom(many_hashes), hstate);
+
+    // An all-zero filter of the honest size excludes everything, but it is
+    // not the filter the run committed to.
+    let mut emptied = bloom.to_vec();
+    emptied[24..].fill(0);
+    assert_rejected(&store, ghost, &replace_bloom(emptied), hstate);
+
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
