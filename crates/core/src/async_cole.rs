@@ -1,50 +1,20 @@
-//! COLE with the checkpoint-based asynchronous merge (§5, Algorithm 5).
+//! COLE with the checkpoint-based asynchronous merge (§5, Algorithm 5):
+//! merges run on background threads.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cole_mbtree::MbTree;
-use cole_primitives::{
-    Address, AuthenticatedStorage, ColeError, CompoundKey, Digest, ProvenanceResult, Result,
-    StateValue, StorageStats, VersionedValue,
-};
-use cole_storage::{PageCache, WriteAheadLog};
+use cole_primitives::{ColeError, Result};
 
-use crate::config::ColeConfig;
-use crate::failpoint::KillPoints;
-use crate::manifest::{self, Manifest, ManifestState};
-use crate::memtable::{merge_sorted_entry_lists, ShardedMemtable};
+use crate::engine::{data_pages, writing_group, Engine, EngineCore, MergeStrategy};
+use crate::manifest::remove_wal_file;
+use crate::memtable::merge_sorted_entry_lists;
 use crate::merge::{build_run_from_entries, merge_runs};
-use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::proof::{compute_hstate, ColeProof, ComponentProof, RootEntryKind};
-use crate::run::{Run, RunContext, RunId};
-use crate::snapshot::{reclaim_retired_runs, Snapshot, SnapshotMemGroup};
-
-/// A sealed in-memory group: the level-0 merging group. Its contents are
-/// immutable (the flush thread reads them) but remain visible to queries.
-/// One tree per memtable write head, with the per-shard root digests fixed
-/// at seal time.
-#[derive(Debug, Clone)]
-struct SealedMemGroup {
-    trees: Arc<Vec<MbTree>>,
-    roots: Vec<Digest>,
-}
-
-/// One on-disk level of the asynchronous engine: a writing group that accepts
-/// committed runs from the level above and a merging group whose runs are
-/// being merged into the next level by a background thread (Figure 7).
-#[derive(Debug, Default)]
-struct AsyncLevel {
-    /// Committed runs accepting reads and representing the level in
-    /// `root_hash_list`; newest first.
-    writing: Vec<Arc<Run>>,
-    /// Runs currently being merged into the next level; still readable and
-    /// still part of `root_hash_list` until the commit checkpoint.
-    merging: Vec<Arc<Run>>,
-    /// The background thread merging `merging` into the next level, if any.
-    merge_thread: Option<JoinHandle<Result<Run>>>,
-}
+use crate::metrics::Metrics;
+use crate::read::MemGroup;
+use crate::run::Run;
 
 /// The COLE engine with checkpoint-based asynchronous merges (COLE* in the
 /// paper's evaluation).
@@ -56,639 +26,211 @@ struct AsyncLevel {
 /// updated at these commit checkpoints (never from inside the merge threads),
 /// the state root digest `Hstate` stays deterministic across blockchain nodes
 /// regardless of how long individual merges take (§5, soundness analysis).
-#[derive(Debug)]
-pub struct AsyncCole {
-    dir: PathBuf,
-    config: ColeConfig,
-    /// The level-0 writing group: [`ColeConfig::memtable_shards`] write
-    /// heads (one MB-tree at the default of 1).
-    mem_writing: ShardedMemtable,
-    mem_merging: Option<SealedMemGroup>,
-    mem_flush_thread: Option<JoinHandle<Result<Run>>>,
-    /// `levels[0]` is on-disk level 1.
-    levels: Vec<AsyncLevel>,
-    current_block: u64,
-    /// Height through which every finalized block is durable in
-    /// manifest-committed runs (advanced at level-0 commit checkpoints; WAL
-    /// records at or below it are stale on recovery).
-    flushed_block: u64,
-    /// Height covered by the sealed memtable currently being flushed;
-    /// becomes `flushed_block` when that flush commits.
+pub type AsyncCole = Engine<Background>;
+
+/// A run being built off the caller's thread.
+type Build = JoinHandle<Result<Run>>;
+
+/// Merges in the background: a sealed memtable group and one merging group
+/// per level are built into runs by threads and committed at block-boundary
+/// checkpoints; the WAL rotates to a fresh segment with every seal.
+///
+/// A sealed or merging group stays live — searched, in `Hstate`, in the
+/// manifest, covered by its WAL segments — until a run built from it is
+/// committed. If its build fails the error surfaces at the checkpoint that
+/// joins it, the group simply has no thread any more, and the next
+/// checkpoint rebuilds it under a fresh run id: retried, never dropped.
+#[derive(Debug, Default)]
+pub struct Background {
+    /// The thread flushing `core.sealed`.
+    flush_thread: Option<Build>,
+    /// Per level (0-based), the thread merging its merging group.
+    merge_threads: Vec<Option<Build>>,
+    /// Height covered by the sealed memtable; becomes `flushed_block` when
+    /// its flush commits.
     sealed_through: u64,
-    next_run_id: RunId,
-    /// Cache + metrics shared with every run of this engine (including the
-    /// runs built by background merge threads).
-    ctx: RunContext,
-    entries_ingested: u64,
-    /// Durable commit point, shared format with the synchronous engine.
-    /// Commit checkpoints (level-0 flush commits, disk-level merge commits)
-    /// publish the new level contents crash-atomically through it.
-    manifest: Manifest,
-    /// Active WAL segment; `None` when `config.wal_enabled` is off.
-    wal: Option<WriteAheadLog>,
-    /// Segments covering the sealed memtable currently being flushed;
-    /// deleted after the commit checkpoint that makes that data durable.
-    /// (Segments found at open are compacted into the fresh active segment
-    /// and deleted immediately, so only seal-time rotation feeds this.)
+    /// WAL segments covering the sealed memtable, deleted after the commit
+    /// checkpoint that makes that data durable in a run. (Segments found at
+    /// open are compacted into the fresh active segment and deleted
+    /// immediately, so only seal-time rotation feeds this.)
     wal_retired: Vec<PathBuf>,
-    /// Sequence number of the next WAL segment to create.
-    wal_seq: u64,
-    /// Entries `put` since the last `finalize_block`, in insertion order.
-    wal_block_buf: Vec<(CompoundKey, StateValue)>,
-    /// Runs dropped from the committed structure but possibly still pinned
-    /// by published [`Snapshot`]s; their files are deleted by
-    /// [`reclaim`](AsyncCole::reclaim) once the engine holds the last
-    /// `Arc`.
-    retired: Vec<Arc<Run>>,
+    /// The level (1-based) a cascade has reached; `Some` between the seal
+    /// that starts it and the first level that is not full, so a cascade
+    /// interrupted by a failed step resumes there on the retried call.
+    cascade_at: Option<usize>,
 }
 
-impl AsyncCole {
-    /// Opens (or creates) an asynchronous COLE instance rooted at `dir`.
-    ///
-    /// If a committed manifest exists, the on-disk levels are recovered from
-    /// it: every run (writing and merging groups alike) reopens into the
-    /// level's writing group — a merge that was in flight at the crash is
-    /// simply lost and will be redone when the level next fills, which
-    /// preserves `root_hash_list` order and therefore `Hstate`. Orphan run
-    /// files are garbage-collected, and with
-    /// [`wal_enabled`](ColeConfig::wal_enabled) the WAL segments are
-    /// replayed into the writing memtable.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid, the manifest is
-    /// corrupt ([`ColeError::InvalidEncoding`]), a referenced run is missing
-    /// ([`ColeError::NotFound`]), or files cannot be accessed.
-    pub fn open<P: AsRef<Path>>(dir: P, config: ColeConfig) -> Result<Self> {
-        AsyncCole::open_with_kill_points(dir, config, None)
-    }
-
-    /// [`AsyncCole::open`] with a crash-injection hook threaded through
-    /// every write-path step, including the background flush/merge threads
-    /// (used by the kill-point crash tests; see [`KillPoints`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`AsyncCole::open`].
-    pub fn open_with_kill_points<P: AsRef<Path>>(
-        dir: P,
-        config: ColeConfig,
-        kill_points: Option<Arc<KillPoints>>,
-    ) -> Result<Self> {
-        config.validate()?;
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let mut ctx = RunContext::from_config(&config);
-        if let Some(kp) = &kill_points {
-            ctx = ctx.with_kill_points(Arc::clone(kp));
-        }
-        let (manifest, state) = Manifest::open(&dir, kill_points)?;
-        let mut cole = AsyncCole {
-            dir,
-            config,
-            mem_writing: ShardedMemtable::new(config.memtable_shards, config.mbtree_fanout),
-            mem_merging: None,
-            mem_flush_thread: None,
-            levels: Vec::new(),
-            current_block: 0,
-            flushed_block: 0,
-            sealed_through: 0,
-            next_run_id: 0,
-            ctx,
-            entries_ingested: 0,
-            manifest,
-            wal: None,
-            wal_retired: Vec::new(),
-            wal_seq: 1,
-            wal_block_buf: Vec::new(),
-            retired: Vec::new(),
-        };
-        cole.recover(state)?;
-        Ok(cole)
-    }
-
-    /// Recovers levels from the committed manifest state, garbage-collects
-    /// orphan runs, and replays the WAL segments (if enabled).
-    ///
-    /// As for the synchronous engine, `current_block` resumes at the
-    /// durably *flushed* height advanced by every recovered WAL record —
-    /// not at the manifest's last recorded height (commit checkpoints
-    /// record heights whose blocks still live in the memtables), so that
-    /// without a WAL the caller can replay its external transaction log
-    /// from `current_block + 1`.
-    fn recover(&mut self, state: Option<ManifestState>) -> Result<()> {
-        if let Some(state) = &state {
-            self.current_block = state.flushed_block;
-            self.flushed_block = state.flushed_block;
-            self.sealed_through = state.flushed_block;
-            self.next_run_id = state.next_run;
-            self.levels = manifest::open_levels(&self.dir, state, &self.ctx)?
-                .into_iter()
-                .map(|writing| AsyncLevel {
-                    writing,
-                    merging: Vec::new(),
-                    merge_thread: None,
-                })
-                .collect();
-        }
-        let live = state.map(|s| s.live_runs()).unwrap_or_default();
-        manifest::gc_and_log(&self.dir, "cole*", &live, &self.ctx.metrics)?;
-        if self.config.wal_enabled {
-            let (mem, ingested) = (&mut self.mem_writing, &mut self.entries_ingested);
-            let (mut wal, next_seq) = manifest::recover_wal(
-                &self.dir,
-                self.config.wal_sync_policy,
-                self.flushed_block,
-                &mut self.current_block,
-                |key, value| {
-                    mem.insert(key, value);
-                    *ingested += 1;
-                },
-            )?;
-            wal.attach_io_counters(Arc::clone(&self.ctx.metrics.wal_io));
-            self.wal = Some(wal);
-            self.wal_seq = next_seq;
-        }
-        Ok(())
-    }
-
-    /// Creates the next numbered WAL segment.
-    fn create_wal_segment(&mut self) -> Result<WriteAheadLog> {
-        let path = self.dir.join(format!("wal-{:06}.log", self.wal_seq));
-        self.wal_seq += 1;
-        let (mut wal, replayed) = WriteAheadLog::open(path, self.config.wal_sync_policy)?;
-        debug_assert!(replayed.is_empty(), "fresh segments start empty");
-        wal.attach_io_counters(Arc::clone(&self.ctx.metrics.wal_io));
-        Ok(wal)
-    }
-
-    /// Deletes WAL segments whose data just became durable in a
-    /// manifest-committed run.
-    fn delete_retired_wals(&mut self) -> Result<()> {
-        for path in self.wal_retired.drain(..) {
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
-    }
-
-    /// The engine's configuration.
-    #[must_use]
-    pub fn config(&self) -> &ColeConfig {
-        &self.config
-    }
-
-    /// A point-in-time copy of the operation counters accumulated so far,
-    /// including the page cache's hit/miss counts.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.ctx.metrics_snapshot()
-    }
-
-    /// The live counters behind [`AsyncCole::metrics`], shared with every
-    /// run of this engine (including background merge threads). A serving
-    /// front-end holds this handle to account wire requests into the same
-    /// snapshot that reports the IO they cause.
-    #[must_use]
-    pub fn metrics_handle(&self) -> Arc<Metrics> {
-        Arc::clone(&self.ctx.metrics)
-    }
-
-    /// The page cache shared by this engine's runs, if caching is enabled.
-    #[must_use]
-    pub fn page_cache(&self) -> Option<&Arc<PageCache>> {
-        self.ctx.cache.as_ref()
-    }
-
-    /// Number of on-disk levels currently in use.
-    #[must_use]
-    pub fn num_disk_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Joins every outstanding background merge and commits its result, so
-    /// that all data is reflected in the committed structure, then persists
-    /// a final manifest recording the current block height.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a background merge failed.
-    pub fn wait_for_merges(&mut self) -> Result<()> {
-        self.commit_level0()?;
-        let mut level = 1usize;
-        while level <= self.levels.len() {
-            self.commit_disk_level(level)?;
-            level += 1;
-        }
-        self.commit_manifest()
-    }
-
-    /// Durably publishes the current committed structure (see
-    /// [`Manifest::commit`] for the crash-atomicity protocol). A level's
-    /// manifest entry is its writing group followed by its merging group —
-    /// exactly the runs that are live until the next commit checkpoint.
-    fn commit_manifest(&mut self) -> Result<()> {
-        let state = ManifestState {
-            block: self.current_block,
-            flushed_block: self.flushed_block,
-            next_run: self.next_run_id,
-            levels: self
-                .levels
-                .iter()
-                .map(|level| {
-                    level
-                        .writing
-                        .iter()
-                        .chain(level.merging.iter())
-                        .map(|r| r.id())
-                        .collect()
-                })
-                .collect(),
-        };
-        self.manifest.commit(&state)
-    }
-
-    // ------------------------------------------------------------------ write path
-
-    fn alloc_run_id(&mut self) -> RunId {
-        let id = self.next_run_id;
-        self.next_run_id += 1;
-        id
-    }
+impl MergeStrategy for Background {
+    const NAME: &'static str = "COLE*";
+    const RUN_DELETED: &'static str = "async-merge:run_deleted";
 
     /// Handles full writing groups from level 0 upwards (Algorithm 5 lines
     /// 5–21).
-    fn roll_levels(&mut self) -> Result<()> {
-        if self.mem_writing.len() < self.config.memtable_capacity {
-            return Ok(());
+    fn on_block_boundary(&mut self, core: &mut EngineCore, memtable_full: bool) -> Result<()> {
+        if memtable_full {
+            // Commit checkpoint of level 0 (wait for the previous flush,
+            // publish its run, drop the old merging group), then switch
+            // roles and start flushing the sealed group in the background.
+            self.commit_level0(core)?;
+            self.seal_and_start_flush(core)?;
+            self.cascade_at = Some(1);
         }
-        // Commit checkpoint of level 0: wait for the previous flush (if any),
-        // publish its run, drop the old merging group.
-        self.commit_level0()?;
-        // Switch roles and start flushing the sealed group in the background.
-        self.seal_and_start_flush()?;
-
-        // Cascade through the on-disk levels.
-        let mut level = 1usize;
-        loop {
-            let full = self
+        while let Some(level) = self.cascade_at {
+            let full = core
                 .levels
                 .get(level - 1)
-                .is_some_and(|l| l.writing.len() >= self.config.size_ratio);
-            if !full {
-                break;
+                .is_some_and(|l| l.writing.len() >= core.config.size_ratio);
+            if full {
+                self.commit_disk_level(core, level)?;
+                self.start_disk_merge(core, level);
             }
-            self.commit_disk_level(level)?;
-            self.start_disk_merge(level)?;
-            level += 1;
+            self.cascade_at = full.then_some(level + 1);
         }
         Ok(())
     }
 
-    /// Joins and commits level 0's background flush, if one exists: the
-    /// flushed run is published into level 1's writing group, a manifest
-    /// commit makes the publication durable, and only then are the WAL
-    /// segments covering the sealed memtable deleted.
-    fn commit_level0(&mut self) -> Result<()> {
-        if let Some(handle) = self.mem_flush_thread.take() {
-            let run = join_merge(handle)?;
-            Metrics::inc(&self.ctx.metrics.flushes);
-            Metrics::add(
-                &self.ctx.metrics.pages_written,
-                run.data_bytes().div_ceil(cole_primitives::PAGE_SIZE as u64),
-            );
-            self.ensure_level(1);
-            self.levels[0].writing.insert(0, Arc::new(run));
-            self.ctx.kill("async-flush:published")?;
-            // The committed run holds every block the sealed memtable
-            // covered; the manifest records that height as durably flushed.
-            self.flushed_block = self.sealed_through;
-            self.commit_manifest()?;
-            self.delete_retired_wals()?;
-            self.ctx.kill("async-flush:committed")?;
+    fn settle(&mut self, core: &mut EngineCore) -> Result<()> {
+        self.commit_level0(core)?;
+        for level in 1..=core.levels.len() {
+            self.commit_disk_level(core, level)?;
         }
-        self.mem_merging = None;
         Ok(())
     }
+}
 
-    /// Seals the current writing memtable as the merging group and starts a
-    /// background flush of its contents. The WAL rotates with the seal: the
-    /// segments covering the sealed tree are retired (deleted once the
-    /// flush commits) and a fresh segment receives subsequent blocks.
-    fn seal_and_start_flush(&mut self) -> Result<()> {
-        // Fix the per-shard digests before freezing the trees; the sealed
-        // group's proofs verify against exactly these roots.
-        let roots = self.mem_writing.root_hashes();
-        let sealed = SealedMemGroup {
-            trees: Arc::new(self.mem_writing.take_shards()),
-            roots,
+impl Background {
+    /// Joins and commits level 0's background flush, if a group is sealed:
+    /// the flushed run is published into level 1's writing group, a
+    /// manifest commit makes the publication durable, and only then are the
+    /// sealed group and the WAL segments covering it dropped.
+    fn commit_level0(&mut self, core: &mut EngineCore) -> Result<()> {
+        if core.sealed.is_none() {
+            return Ok(());
+        }
+        let build = match self.flush_thread.take() {
+            Some(build) => build,
+            None => spawn_flush(core),
         };
-        self.mem_merging = Some(sealed.clone());
-        self.sealed_through = self.current_block;
-        if let Some(mut active) = self.wal.take() {
+        let run = Arc::new(join_build(build)?);
+        let mut levels = core.levels.clone();
+        writing_group(&mut levels, 0).insert(0, Arc::clone(&run));
+        core.ctx.kill("async-flush:published")?;
+        // The committed run holds every block the sealed memtable covered;
+        // the manifest records that height as durably flushed.
+        core.commit_levels(levels, self.sealed_through)?;
+        core.sealed = None;
+        Metrics::inc(&core.ctx.metrics.flushes);
+        Metrics::add(&core.ctx.metrics.pages_written, data_pages(&run));
+        for path in self.wal_retired.drain(..) {
+            remove_wal_file(&path)?;
+        }
+        core.ctx.kill("async-flush:committed")
+    }
+
+    /// Seals the writing memtable as the merging group and starts a
+    /// background flush of its contents. The WAL rotates with the seal: the
+    /// segments covering the sealed trees are retired (deleted once the
+    /// flush commits) and a fresh segment receives subsequent blocks. The
+    /// fallible rotation comes first, so a failure leaves nothing sealed.
+    fn seal_and_start_flush(&mut self, core: &mut EngineCore) -> Result<()> {
+        if let Some(active) = &mut core.wal {
             // Group-commit barrier: the outgoing segment must be fully
             // durable before appends continue in the next one — otherwise a
             // power failure could lose this segment's unsynced tail while
             // *later* blocks in the new segment survive, recovering a chain
             // with a hole in it.
             active.sync_barrier()?;
-            self.ctx.kill("async-seal:wal_barrier")?;
-            self.wal_retired.push(active.path().to_path_buf());
-            drop(active);
-            self.wal = Some(self.create_wal_segment()?);
+            core.ctx.kill("async-seal:wal_barrier")?;
+            let next = core.create_wal_segment()?;
+            let outgoing = core.wal.replace(next).expect("checked above");
+            self.wal_retired.push(outgoing.path().to_path_buf());
         }
-        let dir = self.dir.clone();
-        let config = self.config;
-        let id = self.alloc_run_id();
-        let ctx = self.ctx.clone();
-        self.mem_flush_thread = Some(std::thread::spawn(move || {
-            // Drain the sealed write heads into one sorted stream (the
-            // k-way shard merge) and build the run off the caller's thread;
-            // with parallel run builds the index/Merkle work fans out
-            // further inside `RunBuilder`. The per-shard kill points model
-            // a crash mid-drain — memory-only, disk untouched.
-            for _ in sealed.trees.iter() {
-                ctx.kill("async-flush:shard_drained")?;
-            }
-            let entries =
-                merge_sorted_entry_lists(sealed.trees.iter().map(MbTree::entries).collect());
-            build_run_from_entries(&dir, id, &entries, &config, ctx)
-        }));
+        // Fix the per-shard digests before freezing the trees; the sealed
+        // group's proofs verify against exactly these roots.
+        let roots = core.mem.root_hashes();
+        core.sealed = Some(MemGroup::new(core.mem.take_shards(), roots));
+        self.sealed_through = core.current_block;
+        self.flush_thread = Some(spawn_flush(core));
         Ok(())
     }
 
-    /// Joins and commits the background merge of on-disk `level` (1-based):
-    /// the merged run is published into `level + 1`'s writing group, a
-    /// manifest commit (which also drops the obsolete merging group) makes
-    /// the publication durable, and only then are the obsolete run files
-    /// deleted — the crash-safe ordering the old in-place deletion lacked.
-    fn commit_disk_level(&mut self, level: usize) -> Result<()> {
-        let Some(entry) = self.levels.get_mut(level - 1) else {
+    /// Joins and commits the background merge of on-disk `level` (1-based),
+    /// if it has a merging group: the merged run is published into
+    /// `level + 1`'s writing group, a manifest commit (which also drops the
+    /// obsolete merging group) makes the publication durable, and only then
+    /// are the obsolete runs retired.
+    fn commit_disk_level(&mut self, core: &mut EngineCore, level: usize) -> Result<()> {
+        if core.levels[level - 1].merging.is_empty() {
             return Ok(());
+        }
+        let build = match self.merge_threads.get_mut(level - 1).and_then(Option::take) {
+            Some(build) => build,
+            None => spawn_merge(core, level),
         };
-        let Some(handle) = entry.merge_thread.take() else {
-            return Ok(());
-        };
-        let run = join_merge(handle)?;
-        Metrics::inc(&self.ctx.metrics.merges);
-        Metrics::add(&self.ctx.metrics.entries_merged, run.num_entries());
-        Metrics::add(
-            &self.ctx.metrics.pages_written,
-            run.data_bytes().div_ceil(cole_primitives::PAGE_SIZE as u64),
-        );
-        let obsolete = std::mem::take(&mut self.levels[level - 1].merging);
-        self.ensure_level(level + 1);
-        self.levels[level].writing.insert(0, Arc::new(run));
-        self.ctx.kill("async-merge:published")?;
-        self.commit_manifest()?;
-        self.ctx.kill("async-merge:committed")?;
+        let run = Arc::new(join_build(build)?);
+        let mut levels = core.levels.clone();
+        let obsolete = std::mem::take(&mut levels[level - 1].merging);
+        writing_group(&mut levels, level).insert(0, Arc::clone(&run));
+        core.ctx.kill("async-merge:published")?;
+        core.commit_levels(levels, core.flushed_block)?;
+        Metrics::inc(&core.ctx.metrics.merges);
+        Metrics::add(&core.ctx.metrics.entries_merged, run.num_entries());
+        Metrics::add(&core.ctx.metrics.pages_written, data_pages(&run));
+        core.ctx.kill("async-merge:committed")?;
         // The obsolete merging group is out of the committed manifest;
         // retire it. Embedded engines (no published snapshots) delete the
-        // files right here, as before; pinned runs wait for their last
-        // reader.
-        self.retired.extend(obsolete);
-        self.reclaim()
-    }
-
-    /// Deletes the files of every retired run no snapshot pins any more
-    /// (see [`Cole::reclaim`](crate::Cole::reclaim)).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a file deletion fails; the remaining runs stay
-    /// queued and the next call (or orphan GC on reopen) retries.
-    pub fn reclaim(&mut self) -> Result<()> {
-        reclaim_retired_runs(&mut self.retired, &self.ctx, "async-merge:run_deleted")
-    }
-
-    /// Number of retired runs whose deletion is still deferred.
-    #[must_use]
-    pub fn retired_runs(&self) -> usize {
-        self.retired.len()
-    }
-
-    // ------------------------------------------------------------------ snapshots
-
-    /// An immutable point-in-time snapshot stamped with `height`: frozen
-    /// clones of the writing write heads, a shared handle to the sealed
-    /// merging group (already immutable), and shared handles to every
-    /// on-disk run of both groups, young to old — the exact
-    /// `root_hash_list` order, so [`Snapshot::hstate`] equals the engine's
-    /// current state root.
-    pub fn snapshot_at(&mut self, height: u64) -> Snapshot {
-        let roots = self.mem_writing.root_hashes();
-        let mut groups = vec![SnapshotMemGroup::frozen(
-            self.mem_writing.shards().to_vec(),
-            roots,
-        )];
-        if let Some(sealed) = &self.mem_merging {
-            groups.push(SnapshotMemGroup {
-                trees: Arc::clone(&sealed.trees),
-                roots: sealed.roots.clone(),
-            });
-        }
-        let runs: Vec<Arc<Run>> = self
-            .levels
-            .iter()
-            .flat_map(|level| level.writing.iter().chain(level.merging.iter()).cloned())
-            .collect();
-        Snapshot::new(height, groups, runs, Arc::clone(&self.ctx.metrics))
-    }
-
-    /// [`snapshot_at`](AsyncCole::snapshot_at) stamped with the current
-    /// block height.
-    pub fn snapshot(&mut self) -> Snapshot {
-        self.snapshot_at(self.current_block)
+        // files right here; pinned runs wait for their last reader.
+        core.retired.extend(obsolete);
+        core.reclaim(Self::RUN_DELETED)
     }
 
     /// Swaps the groups of on-disk `level` (1-based) and starts a background
     /// merge of the now-sealed group into the next level.
-    fn start_disk_merge(&mut self, level: usize) -> Result<()> {
-        let id = self.alloc_run_id();
-        let dir = self.dir.clone();
-        let config = self.config;
-        let ctx = self.ctx.clone();
-        let entry = &mut self.levels[level - 1];
-        debug_assert!(
+    fn start_disk_merge(&mut self, core: &mut EngineCore, level: usize) {
+        let entry = &mut core.levels[level - 1];
+        assert!(
             entry.merging.is_empty(),
             "merging group must be committed first"
         );
         entry.merging = std::mem::take(&mut entry.writing);
-        let runs = entry.merging.clone();
-        entry.merge_thread = Some(std::thread::spawn(move || {
-            merge_runs(&dir, id, &runs, &config, ctx)
-        }));
-        Ok(())
-    }
-
-    fn ensure_level(&mut self, level: usize) {
-        while self.levels.len() < level {
-            self.levels.push(AsyncLevel::default());
+        if self.merge_threads.len() < level {
+            self.merge_threads.resize_with(level, || None);
         }
-    }
-
-    // ------------------------------------------------------------------ root hashes
-
-    /// The ordered `root_hash_list` of the asynchronous engine: both level-0
-    /// groups (one root per write head each), then the writing and merging
-    /// groups of every on-disk level, young to old.
-    pub fn root_hash_list(&mut self) -> Vec<(RootEntryKind, Digest)> {
-        let mut list: Vec<(RootEntryKind, Digest)> = self
-            .mem_writing
-            .root_hashes()
-            .into_iter()
-            .map(|root| (RootEntryKind::Memtable, root))
-            .collect();
-        if let Some(sealed) = &self.mem_merging {
-            for root in &sealed.roots {
-                list.push((RootEntryKind::Memtable, *root));
-            }
-        }
-        for level in &self.levels {
-            for run in level.writing.iter().chain(level.merging.iter()) {
-                list.push((RootEntryKind::Run, run.commitment()));
-            }
-        }
-        list
-    }
-
-    // ------------------------------------------------------------------ queries
-
-    fn get_internal(&self, addr: Address) -> Result<Option<StateValue>> {
-        Metrics::inc(&self.ctx.metrics.gets);
-        if let Some((_, value)) = self.mem_writing.get_latest(addr) {
-            return Ok(Some(value));
-        }
-        if let Some(sealed) = &self.mem_merging {
-            // The sealed group was partitioned by the same stable address
-            // hash, so only the owning shard can hold the address.
-            let shard = self.mem_writing.shard_of(&addr);
-            if let Some((_, value)) = sealed.trees[shard].get_latest(addr) {
-                return Ok(Some(value));
-            }
-        }
-        for level in &self.levels {
-            for run in level.writing.iter().chain(level.merging.iter()) {
-                if !run.may_contain(&addr)? {
-                    Metrics::inc(&self.ctx.metrics.bloom_skips);
-                    continue;
-                }
-                Metrics::inc(&self.ctx.metrics.runs_searched);
-                if let Some((_, value)) = run.get_latest(&addr)? {
-                    return Ok(Some(value));
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    fn prov_query_internal(
-        &self,
-        addr: Address,
-        blk_lower: u64,
-        blk_upper: u64,
-    ) -> Result<ProvenanceResult> {
-        Metrics::inc(&self.ctx.metrics.prov_queries);
-        let lower = CompoundKey::new(addr, blk_lower.saturating_sub(1));
-        let upper = CompoundKey::new(addr, blk_upper.saturating_add(1));
-
-        let mut components = Vec::new();
-        let mut collected: Vec<(CompoundKey, StateValue)> = Vec::new();
-        let mut early_stop = false;
-
-        // Level 0, writing group: every write head, in `root_hash_list`
-        // order (the address lives in exactly one shard; the rest prove
-        // absence).
-        for (results, proof) in self.mem_writing.range_with_proofs(lower, upper) {
-            for (k, _) in &results {
-                if k.address() == addr && k.block_height() < blk_lower {
-                    early_stop = true;
-                }
-            }
-            collected.extend(results);
-            components.push(ComponentProof::MemSearched { proof });
-        }
-
-        // Level 0, merging group (still committed data). The sealed trees'
-        // digests were fixed at seal time, so the `&self` proof
-        // construction sees clean hashes.
-        if let Some(sealed) = &self.mem_merging {
-            for (tree, root) in sealed.trees.iter().zip(&sealed.roots) {
-                if early_stop {
-                    components.push(ComponentProof::MemUnsearched { root: *root });
-                    continue;
-                }
-                let (results, proof) = tree.range_with_proof(lower, upper);
-                for (k, _) in &results {
-                    if k.address() == addr && k.block_height() < blk_lower {
-                        early_stop = true;
-                    }
-                }
-                collected.extend(results);
-                components.push(ComponentProof::MemSearched { proof });
-            }
-        }
-
-        // On-disk levels.
-        for level in &self.levels {
-            for run in level.writing.iter().chain(level.merging.iter()) {
-                if early_stop {
-                    components.push(ComponentProof::RunUnsearched {
-                        commitment: run.commitment(),
-                    });
-                    continue;
-                }
-                if !run.may_contain(&addr)? {
-                    Metrics::inc(&self.ctx.metrics.bloom_skips);
-                    components.push(ComponentProof::RunBloomNegative {
-                        bloom: run.bloom_bytes()?,
-                        merkle_root: run.merkle_root(),
-                    });
-                    continue;
-                }
-                Metrics::inc(&self.ctx.metrics.runs_searched);
-                let scan = run.scan_range(&lower, &upper)?;
-                let merkle_proof = run.range_proof(scan.first_pos, scan.last_pos)?;
-                for (k, _) in &scan.entries {
-                    if k.address() == addr && k.block_height() < blk_lower {
-                        early_stop = true;
-                    }
-                }
-                collected.extend(scan.entries.iter().copied());
-                components.push(ComponentProof::RunSearched {
-                    entries: scan.entries,
-                    merkle_proof,
-                    bloom_digest: run.bloom_digest(),
-                });
-            }
-        }
-
-        let mut values: Vec<VersionedValue> = collected
-            .into_iter()
-            .filter(|(k, _)| {
-                k.address() == addr
-                    && k.block_height() >= blk_lower
-                    && k.block_height() <= blk_upper
-            })
-            .map(|(k, v)| VersionedValue::new(k.block_height(), v))
-            .collect();
-        values.sort_by_key(|v| std::cmp::Reverse(v.block_height));
-        values.dedup();
-
-        let proof = ColeProof { components };
-        Ok(ProvenanceResult {
-            values,
-            proof: proof.to_bytes(),
-        })
+        self.merge_threads[level - 1] = Some(spawn_merge(core, level));
     }
 }
 
-/// Joins a background merge thread, converting a panic into an error.
-fn join_merge(handle: JoinHandle<Result<Run>>) -> Result<Run> {
-    handle
+/// Starts a thread building the sealed memtable group into a run: drains
+/// the sealed write heads into one sorted stream (the k-way shard merge)
+/// and builds the run off the caller's thread; with parallel run builds the
+/// index/Merkle work fans out further inside `RunBuilder`. The per-shard
+/// kill points model a crash mid-drain — memory-only, disk untouched.
+fn spawn_flush(core: &mut EngineCore) -> Build {
+    let sealed = core.sealed.as_ref().expect("a memtable group is sealed");
+    let trees = Arc::clone(&sealed.trees);
+    let (dir, config, ctx) = (core.dir.clone(), core.config, core.ctx.clone());
+    let id = core.alloc_run_id();
+    std::thread::spawn(move || {
+        for _ in trees.iter() {
+            ctx.kill("async-flush:shard_drained")?;
+        }
+        let entries = merge_sorted_entry_lists(trees.iter().map(MbTree::entries).collect());
+        build_run_from_entries(&dir, id, &entries, &config, ctx)
+    })
+}
+
+/// Starts a thread merging the merging group of on-disk `level` (1-based)
+/// into one run.
+fn spawn_merge(core: &mut EngineCore, level: usize) -> Build {
+    let runs = core.levels[level - 1].merging.clone();
+    let (dir, config, ctx) = (core.dir.clone(), core.config, core.ctx.clone());
+    let id = core.alloc_run_id();
+    std::thread::spawn(move || merge_runs(&dir, id, &runs, &config, ctx))
+}
+
+/// Joins a background build, converting a panic into an error.
+fn join_build(build: Build) -> Result<Run> {
+    build
         .join()
         .map_err(|_| ColeError::InvalidState("background merge thread panicked".into()))?
 }
@@ -697,150 +239,24 @@ fn join_merge(handle: JoinHandle<Result<Run>>) -> Result<Run> {
 /// from racing a successor opened on the same directory (a dropped
 /// `JoinHandle` would detach the thread, which could still be writing run
 /// files while recovery garbage-collects them).
-impl Drop for AsyncCole {
+impl Drop for Background {
     fn drop(&mut self) {
-        if let Some(handle) = self.mem_flush_thread.take() {
-            let _ = handle.join();
+        let merges = self.merge_threads.drain(..).flatten();
+        for build in self.flush_thread.take().into_iter().chain(merges) {
+            let _ = build.join();
         }
-        for level in &mut self.levels {
-            if let Some(handle) = level.merge_thread.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl AsyncCole {
-    /// Inserts a whole batch of updates for the current block, partitioning
-    /// them across the memtable write heads and inserting each shard's
-    /// share on its own thread (see [`Cole::put_batch`](crate::Cole::put_batch);
-    /// semantics are identical to per-entry [`put`](AuthenticatedStorage::put)
-    /// calls in slice order).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the underlying storage fails.
-    pub fn put_batch(&mut self, entries: &[(Address, StateValue)]) -> Result<()> {
-        let block = self.current_block;
-        let keyed: Vec<(CompoundKey, StateValue)> = entries
-            .iter()
-            .map(|(addr, value)| (CompoundKey::new(*addr, block), *value))
-            .collect();
-        if self.wal.is_some() {
-            self.wal_block_buf.extend_from_slice(&keyed);
-        }
-        self.mem_writing.insert_batch(&keyed);
-        self.entries_ingested += keyed.len() as u64;
-        Ok(())
-    }
-}
-
-impl AuthenticatedStorage for AsyncCole {
-    fn put(&mut self, addr: Address, value: StateValue) -> Result<()> {
-        let key = CompoundKey::new(addr, self.current_block);
-        if self.wal.is_some() {
-            self.wal_block_buf.push((key, value));
-        }
-        self.mem_writing.insert(key, value);
-        self.entries_ingested += 1;
-        Ok(())
-    }
-
-    fn get(&self, addr: Address) -> Result<Option<StateValue>> {
-        self.get_internal(addr)
-    }
-
-    fn prov_query(
-        &self,
-        addr: Address,
-        blk_lower: u64,
-        blk_upper: u64,
-    ) -> Result<ProvenanceResult> {
-        self.prov_query_internal(addr, blk_lower, blk_upper)
-    }
-
-    fn verify_prov(
-        &self,
-        addr: Address,
-        blk_lower: u64,
-        blk_upper: u64,
-        result: &ProvenanceResult,
-        hstate: Digest,
-    ) -> Result<bool> {
-        let proof = ColeProof::from_bytes(&result.proof)?;
-        proof.verify(addr, blk_lower, blk_upper, &result.values, hstate)
-    }
-
-    fn begin_block(&mut self, height: u64) -> Result<()> {
-        if height <= self.current_block && self.current_block != 0 {
-            return Err(ColeError::InvalidState(format!(
-                "block height {height} does not advance the chain (current {})",
-                self.current_block
-            )));
-        }
-        self.current_block = height;
-        Ok(())
-    }
-
-    fn finalize_block(&mut self) -> Result<Digest> {
-        // The block's entries become WAL-recoverable before any checkpoint
-        // work, so a crash at any later point in this call cannot lose
-        // them. An empty block still gets a record so the recovered chain
-        // height never regresses past finalized heights; when the writing
-        // memtable is empty the active segment holds nothing live (data
-        // records rotate out with the seal), so past a size threshold it is
-        // reset to keep an idle chain from growing it without bound (see
-        // the synchronous engine for the crash-window note).
-        if let Some(wal) = &mut self.wal {
-            if self.mem_writing.is_empty() && wal.len_bytes() > crate::cole::IDLE_WAL_RESET_BYTES {
-                wal.truncate()?;
-            }
-            wal.append_block(self.current_block, &self.wal_block_buf)?;
-            Metrics::inc(&self.ctx.metrics.wal_appends);
-            self.wal_block_buf.clear();
-        }
-        // As for the synchronous engine, the capacity check (and therefore
-        // every start/commit checkpoint) happens at a block boundary, keeping
-        // compound keys unique per run and Hstate deterministic across nodes.
-        self.roll_levels()?;
-        let list = self.root_hash_list();
-        Ok(compute_hstate(&list))
-    }
-
-    fn current_block_height(&self) -> u64 {
-        self.current_block
-    }
-
-    fn storage_stats(&self) -> Result<StorageStats> {
-        let mut stats = StorageStats {
-            memory_bytes: self.mem_writing.memory_bytes()
-                + self
-                    .mem_merging
-                    .as_ref()
-                    .map_or(0, |s| s.trees.iter().map(MbTree::memory_bytes).sum()),
-            ..StorageStats::default()
-        };
-        for level in &self.levels {
-            for run in level.writing.iter().chain(level.merging.iter()) {
-                stats.data_bytes += run.data_bytes();
-                stats.index_bytes += run.index_bytes();
-            }
-        }
-        Ok(stats)
-    }
-
-    fn name(&self) -> &'static str {
-        "COLE*"
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.wait_for_merges()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
+    use cole_primitives::{Address, AuthenticatedStorage, Digest, StateValue};
+
     use super::*;
+    use crate::proof::compute_hstate;
+    use crate::ColeConfig;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =

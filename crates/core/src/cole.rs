@@ -1,735 +1,165 @@
-//! The synchronous COLE engine (Algorithms 1, 6 and 8).
+//! The synchronous COLE engine: merges run in the foreground (Algorithm 1).
 
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use cole_primitives::{
-    Address, AuthenticatedStorage, ColeError, CompoundKey, Digest, ProvenanceResult, Result,
-    StateValue, StorageStats, VersionedValue,
-};
-use cole_storage::{PageCache, WriteAheadLog};
+use cole_primitives::Result;
 
-use crate::config::ColeConfig;
-use crate::failpoint::KillPoints;
-use crate::manifest::{self, Manifest, ManifestState};
-use crate::memtable::ShardedMemtable;
+use crate::engine::{data_pages, writing_group, Engine, EngineCore, MergeStrategy};
 use crate::merge::{build_run_from_entries, merge_runs};
-use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::proof::{compute_hstate, ColeProof, ComponentProof, RootEntryKind};
-use crate::run::{Run, RunContext, RunId};
-use crate::snapshot::{reclaim_retired_runs, Snapshot, SnapshotMemGroup};
+use crate::metrics::Metrics;
+use crate::run::Run;
 
-/// Once an all-empty-records WAL exceeds this size, it is reset instead of
-/// growing further (bounds an idle chain's log at ~2.7k empty-block
-/// records).
-pub(crate) const IDLE_WAL_RESET_BYTES: u64 = 64 * 1024;
+/// The column-based learned storage engine with synchronous merges: when
+/// the in-memory level is full at a block boundary it is flushed to level 1
+/// and full levels are recursively sort-merged into the next level before
+/// `finalize_block` returns (Algorithm 1). Simplest, but a write can stall
+/// while levels cascade.
+pub type Cole = Engine<Foreground>;
 
-/// The column-based learned storage engine with synchronous merges.
-///
-/// Writes go to an in-memory MB-tree (level 0); when it reaches its capacity
-/// `B` it is flushed to level 1 as a sorted run, and full levels are
-/// recursively sort-merged into the next level (Algorithm 1). Reads search
-/// levels young-to-old (Algorithm 6); provenance queries additionally return
-/// a proof verifiable against the state root digest (Algorithm 8).
-///
-/// The query surface ([`get`](AuthenticatedStorage::get),
-/// [`prov_query`](AuthenticatedStorage::prov_query)) takes `&self`: all run
-/// reads use positioned I/O through a shared [`PageCache`] and all counters
-/// are atomics, so an engine behind an `Arc` serves many reader threads
-/// concurrently (writes still require `&mut self`).
-///
-/// See the crate-level documentation for a usage example.
-#[derive(Debug)]
-pub struct Cole {
-    dir: PathBuf,
-    config: ColeConfig,
-    /// The in-memory level: [`ColeConfig::memtable_shards`] write heads
-    /// (one MB-tree at the default of 1 — identical to the paper's level 0).
-    mem: ShardedMemtable,
-    /// `levels[0]` is on-disk level 1; runs are ordered newest first.
-    levels: Vec<Vec<Arc<Run>>>,
-    current_block: u64,
-    /// Height through which every finalized block is durable in on-disk
-    /// runs (advanced when a flush commits; WAL records at or below it are
-    /// stale on recovery).
-    flushed_block: u64,
-    next_run_id: RunId,
-    /// Cache + metrics shared with every run of this engine.
-    ctx: RunContext,
-    entries_ingested: u64,
-    /// Durable commit point of the write path (`MANIFEST-NNNNNN` chain).
-    manifest: Manifest,
-    /// Block-boundary write-ahead log; `None` when `config.wal_enabled` is
-    /// off.
-    wal: Option<WriteAheadLog>,
-    /// Entries `put` since the last `finalize_block`, in insertion order
-    /// (the WAL record of the block being built).
-    wal_block_buf: Vec<(CompoundKey, StateValue)>,
-    /// Runs dropped from the committed structure but possibly still pinned
-    /// by published [`Snapshot`]s; their files are deleted by
-    /// [`reclaim`](Cole::reclaim) once the engine holds the last `Arc`.
-    retired: Vec<Arc<Run>>,
-}
+/// Merges in the foreground: flush and cascade inside `finalize_block`,
+/// against one WAL that is truncated after each flush commits.
+#[derive(Debug, Default)]
+pub struct Foreground;
 
-impl Cole {
-    /// Opens (or creates) a COLE instance rooted at `dir`.
-    ///
-    /// If a committed manifest from a previous instance exists in `dir`, the
-    /// on-disk levels are recovered from it and any run files it does not
-    /// reference (orphans of a crashed flush/merge, or superseded runs whose
-    /// deletion crashed) are garbage-collected. With
-    /// [`wal_enabled`](ColeConfig::wal_enabled), the write-ahead log is then
-    /// replayed so the unflushed memtable survives too; without it, the
-    /// in-memory level starts empty, as after the crash recovery described
-    /// in §4.3 — the caller replays any transactions since the last
-    /// checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid, the manifest is
-    /// corrupt ([`ColeError::InvalidEncoding`]), a referenced run is missing
-    /// ([`ColeError::NotFound`]), or files cannot be accessed.
-    pub fn open<P: AsRef<Path>>(dir: P, config: ColeConfig) -> Result<Self> {
-        Cole::open_with_kill_points(dir, config, None)
-    }
+impl MergeStrategy for Foreground {
+    const NAME: &'static str = "COLE";
+    const RUN_DELETED: &'static str = "flush:run_deleted";
 
-    /// [`Cole::open`] with a crash-injection hook threaded through every
-    /// write-path step (used by the kill-point crash tests; see
-    /// [`KillPoints`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cole::open`].
-    pub fn open_with_kill_points<P: AsRef<Path>>(
-        dir: P,
-        config: ColeConfig,
-        kill_points: Option<Arc<KillPoints>>,
-    ) -> Result<Self> {
-        Cole::open_instrumented(dir, config, kill_points, None)
-    }
-
-    /// [`Cole::open`] with a recoverable-fault plan attached to every layer
-    /// of the engine's storage: run-file page reads, WAL appends/fsyncs and
-    /// manifest commits all consult it (used by the chaos harness; see
-    /// [`cole_storage::FaultPlan`]). Unlike kill points, an injected fault
-    /// is *recoverable*: the failed call returns `Err` with the engine's
-    /// in-memory and on-disk state intact, and the same call succeeds once
-    /// the fault clears.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cole::open`].
-    pub fn open_with_faults<P: AsRef<Path>>(
-        dir: P,
-        config: ColeConfig,
-        faults: Arc<cole_storage::FaultPlan>,
-    ) -> Result<Self> {
-        Cole::open_instrumented(dir, config, None, Some(faults))
-    }
-
-    fn open_instrumented<P: AsRef<Path>>(
-        dir: P,
-        config: ColeConfig,
-        kill_points: Option<Arc<KillPoints>>,
-        faults: Option<Arc<cole_storage::FaultPlan>>,
-    ) -> Result<Self> {
-        config.validate()?;
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let mut ctx = RunContext::from_config(&config);
-        if let Some(kp) = &kill_points {
-            ctx = ctx.with_kill_points(Arc::clone(kp));
-        }
-        if let Some(faults) = &faults {
-            ctx = ctx.with_faults(Arc::clone(faults));
-        }
-        let (mut manifest, state) = Manifest::open(&dir, kill_points)?;
-        if let Some(faults) = &faults {
-            manifest.attach_faults(Arc::clone(faults));
-        }
-        let mut cole = Cole {
-            dir,
-            config,
-            mem: ShardedMemtable::new(config.memtable_shards, config.mbtree_fanout),
-            levels: Vec::new(),
-            current_block: 0,
-            flushed_block: 0,
-            next_run_id: 0,
-            ctx,
-            entries_ingested: 0,
-            manifest,
-            wal: None,
-            wal_block_buf: Vec::new(),
-            retired: Vec::new(),
-        };
-        cole.recover(state)?;
-        Ok(cole)
-    }
-
-    /// Recovers the on-disk levels from the committed manifest state,
-    /// garbage-collects orphan runs, and replays the WAL (if enabled).
-    ///
-    /// `current_block` resumes at the durably *flushed* height advanced by
-    /// every recovered WAL record — not at the manifest's last recorded
-    /// height, which may lie past the durable data (an explicit `flush`
-    /// persists the manifest without flushing the memtable). Keeping the
-    /// height at the durable boundary lets the caller replay its external
-    /// transaction log from `current_block + 1` exactly as §4.3 prescribes.
-    fn recover(&mut self, state: Option<ManifestState>) -> Result<()> {
-        if let Some(state) = &state {
-            self.current_block = state.flushed_block;
-            self.flushed_block = state.flushed_block;
-            self.next_run_id = state.next_run;
-            self.levels = manifest::open_levels(&self.dir, state, &self.ctx)?;
-        }
-        let live = state.map(|s| s.live_runs()).unwrap_or_default();
-        manifest::gc_and_log(&self.dir, "cole", &live, &self.ctx.metrics)?;
-        if self.config.wal_enabled {
-            let (mem, ingested) = (&mut self.mem, &mut self.entries_ingested);
-            let (mut wal, _) = manifest::recover_wal(
-                &self.dir,
-                self.config.wal_sync_policy,
-                self.flushed_block,
-                &mut self.current_block,
-                |key, value| {
-                    mem.insert(key, value);
-                    *ingested += 1;
-                },
-            )?;
-            wal.attach_io_counters(Arc::clone(&self.ctx.metrics.wal_io));
-            if let Some(faults) = &self.ctx.faults {
-                wal.attach_faults(Arc::clone(faults));
-            }
-            self.wal = Some(wal);
+    fn on_block_boundary(&mut self, core: &mut EngineCore, memtable_full: bool) -> Result<()> {
+        if memtable_full {
+            flush_and_merge(core)?;
         }
         Ok(())
     }
 
-    /// The engine's configuration.
-    #[must_use]
-    pub fn config(&self) -> &ColeConfig {
-        &self.config
-    }
-
-    /// A point-in-time copy of the operation counters accumulated so far,
-    /// including the page cache's hit/miss counts.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.ctx.metrics_snapshot()
-    }
-
-    /// The live counters behind [`Cole::metrics`], shared with every run of
-    /// this engine. A serving front-end holds this handle to account wire
-    /// requests (`requests_served` and the per-op counters) into the same
-    /// snapshot that reports the IO they cause.
-    #[must_use]
-    pub fn metrics_handle(&self) -> Arc<Metrics> {
-        Arc::clone(&self.ctx.metrics)
-    }
-
-    /// The page cache shared by this engine's runs, if caching is enabled.
-    #[must_use]
-    pub fn page_cache(&self) -> Option<&Arc<PageCache>> {
-        self.ctx.cache.as_ref()
-    }
-
-    /// Number of on-disk levels currently in use.
-    #[must_use]
-    pub fn num_disk_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Number of runs in on-disk level `level` (1-based).
-    #[must_use]
-    pub fn runs_in_level(&self, level: usize) -> usize {
-        self.levels.get(level.wrapping_sub(1)).map_or(0, Vec::len)
-    }
-
-    /// Number of key–value pairs currently buffered in the in-memory level.
-    #[must_use]
-    pub fn memtable_len(&self) -> usize {
-        self.mem.len()
-    }
-
-    /// The state root digest over the current contents (equivalent to what
-    /// [`AuthenticatedStorage::finalize_block`] returns, without closing a
-    /// block).
-    pub fn state_root(&mut self) -> Digest {
-        let list = self.root_hash_list();
-        compute_hstate(&list)
-    }
-
-    // ------------------------------------------------------------------ write path
-
-    /// Flushes the memtable and cascades full levels, in crash-safe commit
-    /// order (Algorithm 1 lines 5–12 plus the §4.3 durability contract):
-    ///
-    /// 1. build and fsync the new run files (flush + every cascade merge),
-    /// 2. durably commit a manifest referencing the new runs and dropping
-    ///    the superseded ones,
-    /// 3. only then clear the memtable, truncate the WAL, and delete the
-    ///    superseded run files.
-    ///
-    /// A crash before step 2 leaves the previous manifest intact (the new
-    /// files are orphans, GC'd on reopen); a crash after step 2 leaves
-    /// superseded files as orphans. No crash point loses committed data.
-    ///
-    /// The same ordering also makes the flush **recoverable in place**: all
-    /// pre-commit work mutates scratch copies (`self` is published only
-    /// after the manifest commit succeeds), so an error before or at the
-    /// commit — a transient I/O failure, `ENOSPC`, a failed manifest write
-    /// — returns `Err` with the engine fully usable: the memtable still
-    /// holds every entry, queries keep serving the old levels, and the next
-    /// block boundary simply retries the flush. Partially built run files
-    /// stay behind as orphans until a later reopen GCs them. An error
-    /// *after* the commit (WAL truncation, superseded-file deletion) also
-    /// leaves the engine consistent — the new state is already durable and
-    /// published, and both cleanups retry naturally.
-    fn flush_and_merge(&mut self) -> Result<()> {
-        // Flush the memtable to level 1 as a sorted run (Algorithm 1 line
-        // 5). With sharded write heads this is a k-way merge over the
-        // already-sorted shards — the run (and everything downstream of it)
-        // is byte-for-byte what a single memtable would produce. The
-        // per-shard kill points model a crash while draining: memory-only
-        // work, so disk state is untouched at every one of them.
-        for shard in 0..self.mem.num_shards() {
-            let _ = shard;
-            self.ctx.kill("flush:shard_drained")?;
-        }
-        let entries = self.mem.sorted_entries();
-        if entries.is_empty() {
-            return Ok(());
-        }
-        // Scratch state: run-id allocation and the level lists are copied
-        // (cheap `Arc` clones) and everything below mutates the copies. A
-        // retried flush re-allocates fresh run ids, so it can never collide
-        // with the orphans of a failed attempt.
-        let mut next_run_id = self.next_run_id;
-        let mut levels = self.levels.clone();
-
-        // Metrics are accumulated locally and published only after the
-        // manifest commit: a failed flush leaves the counters (like the
-        // engine) exactly as they were, so `flushes`/`merges` count
-        // *completed* operations.
-        let mut merges = 0u64;
-        let mut entries_merged = 0u64;
-        let mut pages_written = 0u64;
-
-        let id = next_run_id;
-        next_run_id += 1;
-        let run = build_run_from_entries(&self.dir, id, &entries, &self.config, self.ctx.clone())?;
-        pages_written += run.data_bytes().div_ceil(cole_primitives::PAGE_SIZE as u64);
-        if levels.is_empty() {
-            levels.push(Vec::new());
-        }
-        levels[0].insert(0, Arc::new(run));
-        self.ctx.kill("flush:run_built")?;
-
-        // Recursively merge full levels (Algorithm 1 lines 8–12), deferring
-        // the deletion of superseded runs until after the manifest commit.
-        let mut superseded: Vec<Arc<Run>> = Vec::new();
-        let mut i = 0usize;
-        while i < levels.len() && levels[i].len() >= self.config.size_ratio {
-            let runs = std::mem::take(&mut levels[i]);
-            let id = next_run_id;
-            next_run_id += 1;
-            let merged = merge_runs(&self.dir, id, &runs, &self.config, self.ctx.clone())?;
-            merges += 1;
-            entries_merged += merged.num_entries();
-            pages_written += merged
-                .data_bytes()
-                .div_ceil(cole_primitives::PAGE_SIZE as u64);
-            if levels.len() <= i + 1 {
-                levels.push(Vec::new());
-            }
-            levels[i + 1].insert(0, Arc::new(merged));
-            superseded.extend(runs);
-            self.ctx.kill("merge:run_built")?;
-            i += 1;
-        }
-
-        // Group-commit barrier: any WAL appends still buffered in the OS
-        // page cache are forced to stable storage before the manifest can
-        // reference this flush. Without it, a power failure after the
-        // manifest commit could lose a *middle* group of the log while the
-        // manifest claims the height durable — with it, only the tail past
-        // the last barrier/group fsync is ever at risk.
-        if let Some(wal) = &mut self.wal {
-            wal.sync_barrier()?;
-        }
-        self.ctx.kill("flush:wal_barrier")?;
-
-        // Commit point: the manifest that references the new runs and drops
-        // the superseded ones becomes durable. The whole memtable — every
-        // finalized block — is in the flushed run, so the manifest also
-        // records the current height as durably flushed.
-        self.ctx.kill("flush:pre_manifest")?;
-        let state = ManifestState {
-            block: self.current_block,
-            flushed_block: self.current_block,
-            next_run: next_run_id,
-            levels: levels
-                .iter()
-                .map(|level| level.iter().map(|r| r.id()).collect())
-                .collect(),
-        };
-        self.manifest.commit(&state)?;
-
-        // The commit is durable: publish the scratch state. Everything past
-        // this point is cleanup of now-redundant copies.
-        self.levels = levels;
-        self.next_run_id = next_run_id;
-        self.flushed_block = self.current_block;
-        Metrics::inc(&self.ctx.metrics.flushes);
-        Metrics::add(&self.ctx.metrics.merges, merges);
-        Metrics::add(&self.ctx.metrics.entries_merged, entries_merged);
-        Metrics::add(&self.ctx.metrics.pages_written, pages_written);
-
-        // The flushed memtable is durable now — forget its volatile copies.
-        self.mem.clear();
-        if let Some(wal) = &mut self.wal {
-            wal.truncate()?;
-        }
-        self.ctx.kill("flush:wal_truncated")?;
-
-        // Superseded runs are dropped from the committed manifest; retiring
-        // them makes their deletion safe. An embedded engine (no published
-        // snapshots) deletes the files right here, exactly as before; under
-        // a serving front-end, runs still pinned by a snapshot wait in the
-        // retired list until the last reader drops (a crash mid-deletion
-        // leaves orphans either way).
-        self.retired.extend(superseded);
-        self.reclaim()
-    }
-
-    /// Deletes the files of every retired run no snapshot pins any more.
-    /// Called automatically at flush/merge commits; a serving front-end
-    /// also calls it per applied block so runs unpinned by snapshot
-    /// eviction are reclaimed promptly.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a file deletion fails; the remaining runs stay
-    /// queued and the next call (or orphan GC on reopen) retries.
-    pub fn reclaim(&mut self) -> Result<()> {
-        reclaim_retired_runs(&mut self.retired, &self.ctx, "flush:run_deleted")
-    }
-
-    /// Number of retired runs whose deletion is still deferred (pinned by
-    /// at least one published snapshot, or awaiting a reclaim retry).
-    #[must_use]
-    pub fn retired_runs(&self) -> usize {
-        self.retired.len()
-    }
-
-    // ------------------------------------------------------------------ snapshots
-
-    /// An immutable point-in-time snapshot of the current state, stamped
-    /// with `height`: frozen clones of the memtable write heads plus shared
-    /// handles to every on-disk run. Queries against it are lock-free and
-    /// its proofs verify against [`Snapshot::hstate`], which equals the
-    /// engine's current state root. The caller supplies the height so a
-    /// front-end can republish a recomputed snapshot at an unchanged
-    /// published height after a failed block.
-    pub fn snapshot_at(&mut self, height: u64) -> Snapshot {
-        let roots = self.mem.root_hashes();
-        let group = SnapshotMemGroup::frozen(self.mem.shards().to_vec(), roots);
-        let runs: Vec<Arc<Run>> = self
-            .levels
-            .iter()
-            .flat_map(|level| level.iter().cloned())
-            .collect();
-        Snapshot::new(height, vec![group], runs, Arc::clone(&self.ctx.metrics))
-    }
-
-    /// [`snapshot_at`](Cole::snapshot_at) stamped with the current block
-    /// height.
-    pub fn snapshot(&mut self) -> Snapshot {
-        self.snapshot_at(self.current_block)
-    }
-
-    // ------------------------------------------------------------------ root hashes
-
-    /// The ordered `root_hash_list`: one root per in-memory write head
-    /// (computed in parallel when sharded; exactly the single MB-tree root
-    /// at `memtable_shards = 1`) followed by every run's commitment, young
-    /// to old (§3.2).
-    pub fn root_hash_list(&mut self) -> Vec<(RootEntryKind, Digest)> {
-        let mut list: Vec<(RootEntryKind, Digest)> = self
-            .mem
-            .root_hashes()
-            .into_iter()
-            .map(|root| (RootEntryKind::Memtable, root))
-            .collect();
-        for level in &self.levels {
-            for run in level {
-                list.push((RootEntryKind::Run, run.commitment()));
-            }
-        }
-        list
-    }
-
-    // ------------------------------------------------------------------ manifest
-
-    /// The durable state a manifest commit would record right now.
-    fn manifest_state(&self) -> ManifestState {
-        ManifestState {
-            block: self.current_block,
-            flushed_block: self.flushed_block,
-            next_run: self.next_run_id,
-            levels: self
-                .levels
-                .iter()
-                .map(|level| level.iter().map(|r| r.id()).collect())
-                .collect(),
-        }
-    }
-
-    // ------------------------------------------------------------------ queries
-
-    fn get_internal(&self, addr: Address) -> Result<Option<StateValue>> {
-        Metrics::inc(&self.ctx.metrics.gets);
-        if let Some((_, value)) = self.mem.get_latest(addr) {
-            return Ok(Some(value));
-        }
-        for level in &self.levels {
-            for run in level {
-                if !run.may_contain(&addr)? {
-                    Metrics::inc(&self.ctx.metrics.bloom_skips);
-                    continue;
-                }
-                Metrics::inc(&self.ctx.metrics.runs_searched);
-                if let Some((_, value)) = run.get_latest(&addr)? {
-                    return Ok(Some(value));
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    fn prov_query_internal(
-        &self,
-        addr: Address,
-        blk_lower: u64,
-        blk_upper: u64,
-    ) -> Result<ProvenanceResult> {
-        Metrics::inc(&self.ctx.metrics.prov_queries);
-        let lower = CompoundKey::new(addr, blk_lower.saturating_sub(1));
-        let upper = CompoundKey::new(addr, blk_upper.saturating_add(1));
-
-        let mut components = Vec::new();
-        let mut collected: Vec<(CompoundKey, StateValue)> = Vec::new();
-        let mut early_stop = false;
-
-        // Level 0: every in-memory write head, in `root_hash_list` order.
-        // The queried address lives in exactly one shard; the others
-        // contribute cheap proofs of absence so the verifier can
-        // reconstruct `Hstate` component by component.
-        for (mem_results, mem_proof) in self.mem.range_with_proofs(lower, upper) {
-            for (k, _) in &mem_results {
-                if k.address() == addr && k.block_height() < blk_lower {
-                    early_stop = true;
-                }
-            }
-            collected.extend(mem_results);
-            components.push(ComponentProof::MemSearched { proof: mem_proof });
-        }
-
-        // On-disk levels, young to old.
-        for level in &self.levels {
-            for run in level {
-                if early_stop {
-                    components.push(ComponentProof::RunUnsearched {
-                        commitment: run.commitment(),
-                    });
-                    continue;
-                }
-                if !run.may_contain(&addr)? {
-                    Metrics::inc(&self.ctx.metrics.bloom_skips);
-                    components.push(ComponentProof::RunBloomNegative {
-                        bloom: run.bloom_bytes()?,
-                        merkle_root: run.merkle_root(),
-                    });
-                    continue;
-                }
-                Metrics::inc(&self.ctx.metrics.runs_searched);
-                let scan = run.scan_range(&lower, &upper)?;
-                let merkle_proof = run.range_proof(scan.first_pos, scan.last_pos)?;
-                for (k, _) in &scan.entries {
-                    if k.address() == addr && k.block_height() < blk_lower {
-                        early_stop = true;
-                    }
-                }
-                collected.extend(scan.entries.iter().copied());
-                components.push(ComponentProof::RunSearched {
-                    entries: scan.entries,
-                    merkle_proof,
-                    bloom_digest: run.bloom_digest(),
-                });
-            }
-        }
-
-        let mut values: Vec<VersionedValue> = collected
-            .into_iter()
-            .filter(|(k, _)| {
-                k.address() == addr
-                    && k.block_height() >= blk_lower
-                    && k.block_height() <= blk_upper
-            })
-            .map(|(k, v)| VersionedValue::new(k.block_height(), v))
-            .collect();
-        values.sort_by_key(|v| std::cmp::Reverse(v.block_height));
-        values.dedup();
-
-        let proof = ColeProof { components };
-        Ok(ProvenanceResult {
-            values,
-            proof: proof.to_bytes(),
-        })
-    }
-}
-
-impl Cole {
-    /// Inserts a whole batch of updates for the current block, partitioning
-    /// them across the memtable write heads and inserting each shard's
-    /// share on its own thread (with [`ColeConfig::memtable_shards`]` > 1`;
-    /// a single-shard engine inserts inline).
-    ///
-    /// Semantically identical to calling
-    /// [`put`](AuthenticatedStorage::put) once per entry in slice order —
-    /// same memtable contents, same WAL record, same `Hstate` — but the
-    /// insertion work scales with cores. Blockchain blocks arrive as
-    /// batches of transaction writes, so this is the natural ingest shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the underlying storage fails.
-    pub fn put_batch(&mut self, entries: &[(Address, StateValue)]) -> Result<()> {
-        let block = self.current_block;
-        let keyed: Vec<(CompoundKey, StateValue)> = entries
-            .iter()
-            .map(|(addr, value)| (CompoundKey::new(*addr, block), *value))
-            .collect();
-        if self.wal.is_some() {
-            self.wal_block_buf.extend_from_slice(&keyed);
-        }
-        self.mem.insert_batch(&keyed);
-        self.entries_ingested += keyed.len() as u64;
+    /// Nothing is ever in flight between calls.
+    fn settle(&mut self, _core: &mut EngineCore) -> Result<()> {
         Ok(())
     }
 }
 
-impl AuthenticatedStorage for Cole {
-    fn put(&mut self, addr: Address, value: StateValue) -> Result<()> {
-        let key = CompoundKey::new(addr, self.current_block);
-        if self.wal.is_some() {
-            self.wal_block_buf.push((key, value));
-        }
-        self.mem.insert(key, value);
-        self.entries_ingested += 1;
-        Ok(())
+/// Flushes the memtable and cascades full levels, in crash-safe commit
+/// order (Algorithm 1 lines 5–12 plus the §4.3 durability contract):
+///
+/// 1. build and fsync the new run files (flush + every cascade merge),
+/// 2. durably commit a manifest referencing the new runs and dropping
+///    the superseded ones,
+/// 3. only then clear the memtable, truncate the WAL, and delete the
+///    superseded run files.
+///
+/// A crash before step 2 leaves the previous manifest intact (the new
+/// files are orphans, GC'd on reopen); a crash after step 2 leaves
+/// superseded files as orphans. No crash point loses committed data.
+///
+/// The same ordering also makes the flush **recoverable in place**: all
+/// pre-commit work mutates a scratch copy of the levels (published only
+/// after the manifest commit succeeds), so an error before or at the
+/// commit — a transient I/O failure, `ENOSPC`, a failed manifest write
+/// — returns `Err` with the engine fully usable: the memtable still
+/// holds every entry, queries keep serving the old levels, and the next
+/// block boundary simply retries the flush. Partially built run files
+/// stay behind as orphans until a later reopen GCs them. An error
+/// *after* the commit (WAL truncation, superseded-file deletion) also
+/// leaves the engine consistent — the new state is already durable and
+/// published, and both cleanups retry naturally.
+fn flush_and_merge(core: &mut EngineCore) -> Result<()> {
+    // Flush the memtable to level 1 as a sorted run (Algorithm 1 line
+    // 5). With sharded write heads this is a k-way merge over the
+    // already-sorted shards — the run (and everything downstream of it)
+    // is byte-for-byte what a single memtable would produce. The
+    // per-shard kill points model a crash while draining: memory-only
+    // work, so disk state is untouched at every one of them.
+    for _ in 0..core.mem.num_shards() {
+        core.ctx.kill("flush:shard_drained")?;
+    }
+    let entries = core.mem.sorted_entries();
+    if entries.is_empty() {
+        return Ok(());
+    }
+    // Scratch state: the level lists are copied (cheap `Arc` clones) and
+    // everything below mutates the copy.
+    let mut levels = core.levels.clone();
+
+    // Metrics are accumulated locally and published only after the
+    // manifest commit: a failed flush leaves the counters (like the
+    // engine) exactly as they were, so `flushes`/`merges` count
+    // *completed* operations.
+    let mut merges = 0u64;
+    let mut entries_merged = 0u64;
+
+    let id = core.alloc_run_id();
+    let run = build_run_from_entries(&core.dir, id, &entries, &core.config, core.ctx.clone())?;
+    let mut pages_written = data_pages(&run);
+    writing_group(&mut levels, 0).insert(0, Arc::new(run));
+    core.ctx.kill("flush:run_built")?;
+
+    // Recursively merge full levels (Algorithm 1 lines 8–12), deferring
+    // the deletion of superseded runs until after the manifest commit.
+    let mut superseded: Vec<Arc<Run>> = Vec::new();
+    let mut i = 0usize;
+    while i < levels.len() && levels[i].writing.len() >= core.config.size_ratio {
+        let runs = std::mem::take(&mut levels[i].writing);
+        let id = core.alloc_run_id();
+        let merged = merge_runs(&core.dir, id, &runs, &core.config, core.ctx.clone())?;
+        merges += 1;
+        entries_merged += merged.num_entries();
+        pages_written += data_pages(&merged);
+        writing_group(&mut levels, i + 1).insert(0, Arc::new(merged));
+        superseded.extend(runs);
+        core.ctx.kill("merge:run_built")?;
+        i += 1;
     }
 
-    fn get(&self, addr: Address) -> Result<Option<StateValue>> {
-        self.get_internal(addr)
+    // Group-commit barrier: any WAL appends still buffered in the OS
+    // page cache are forced to stable storage before the manifest can
+    // reference this flush. Without it, a power failure after the
+    // manifest commit could lose a *middle* group of the log while the
+    // manifest claims the height durable — with it, only the tail past
+    // the last barrier/group fsync is ever at risk.
+    if let Some(wal) = &mut core.wal {
+        wal.sync_barrier()?;
     }
+    core.ctx.kill("flush:wal_barrier")?;
 
-    fn prov_query(
-        &self,
-        addr: Address,
-        blk_lower: u64,
-        blk_upper: u64,
-    ) -> Result<ProvenanceResult> {
-        self.prov_query_internal(addr, blk_lower, blk_upper)
-    }
+    // Commit point: the manifest that references the new runs and drops
+    // the superseded ones becomes durable and the scratch levels are
+    // published. The whole memtable — every finalized block — is in the
+    // flushed run, so the manifest also records the current height as
+    // durably flushed. Everything past this point is cleanup of
+    // now-redundant copies.
+    core.ctx.kill("flush:pre_manifest")?;
+    core.commit_levels(levels, core.current_block)?;
+    Metrics::inc(&core.ctx.metrics.flushes);
+    Metrics::add(&core.ctx.metrics.merges, merges);
+    Metrics::add(&core.ctx.metrics.entries_merged, entries_merged);
+    Metrics::add(&core.ctx.metrics.pages_written, pages_written);
 
-    fn verify_prov(
-        &self,
-        addr: Address,
-        blk_lower: u64,
-        blk_upper: u64,
-        result: &ProvenanceResult,
-        hstate: Digest,
-    ) -> Result<bool> {
-        let proof = ColeProof::from_bytes(&result.proof)?;
-        proof.verify(addr, blk_lower, blk_upper, &result.values, hstate)
+    // The flushed memtable is durable now — forget its volatile copies.
+    core.mem.clear();
+    if let Some(wal) = &mut core.wal {
+        wal.truncate()?;
     }
+    core.ctx.kill("flush:wal_truncated")?;
 
-    fn begin_block(&mut self, height: u64) -> Result<()> {
-        if height <= self.current_block && self.current_block != 0 {
-            return Err(ColeError::InvalidState(format!(
-                "block height {height} does not advance the chain (current {})",
-                self.current_block
-            )));
-        }
-        self.current_block = height;
-        Ok(())
-    }
-
-    fn finalize_block(&mut self) -> Result<Digest> {
-        // The block's entries become WAL-recoverable before any flush work,
-        // so a crash at any later point in this call cannot lose them. An
-        // empty block still gets a record so the recovered chain height
-        // never regresses past finalized heights. When the memtable is
-        // empty the log holds no live data, so once it passes a size
-        // threshold it is reset to keep an idle chain from growing it
-        // without bound (a crash exactly between the rare reset and the
-        // following append can regress the recovered height across empty
-        // blocks only — never past data).
-        if let Some(wal) = &mut self.wal {
-            if self.mem.is_empty() && wal.len_bytes() > IDLE_WAL_RESET_BYTES {
-                wal.truncate()?;
-            }
-            wal.append_block(self.current_block, &self.wal_block_buf)?;
-            Metrics::inc(&self.ctx.metrics.wal_appends);
-            self.wal_block_buf.clear();
-        }
-        // Capacity checks happen at block boundaries so that a compound key
-        // ⟨addr, blk⟩ can never be split across two runs: within a block all
-        // updates of one address coalesce in the MB-tree (see DESIGN.md,
-        // "checkpointing at block boundaries").
-        if self.mem.len() >= self.config.memtable_capacity {
-            self.flush_and_merge()?;
-        }
-        let list = self.root_hash_list();
-        Ok(compute_hstate(&list))
-    }
-
-    fn current_block_height(&self) -> u64 {
-        self.current_block
-    }
-
-    fn storage_stats(&self) -> Result<StorageStats> {
-        let mut stats = StorageStats {
-            memory_bytes: self.mem.memory_bytes(),
-            ..StorageStats::default()
-        };
-        for level in &self.levels {
-            for run in level {
-                stats.data_bytes += run.data_bytes();
-                stats.index_bytes += run.index_bytes();
-            }
-        }
-        Ok(stats)
-    }
-
-    fn name(&self) -> &'static str {
-        "COLE"
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        // The synchronous engine has no background work; only persist the
-        // manifest so a reopened instance sees the current levels and block
-        // height.
-        let state = self.manifest_state();
-        self.manifest.commit(&state)
-    }
+    // Superseded runs are dropped from the committed manifest; retiring
+    // them makes their deletion safe. An embedded engine (no published
+    // snapshots) deletes the files right here; under a serving
+    // front-end, runs still pinned by a snapshot wait in the retired
+    // list until the last reader drops (a crash mid-deletion leaves
+    // orphans either way).
+    core.retired.extend(superseded);
+    core.reclaim(Foreground::RUN_DELETED)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::path::PathBuf;
+
+    use cole_primitives::{Address, AuthenticatedStorage, Digest, StateValue};
     use cole_storage::WalSyncPolicy;
+
+    use super::*;
+    use crate::ColeConfig;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =

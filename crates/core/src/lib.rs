@@ -19,6 +19,27 @@
 //! Both implement [`cole_primitives::AuthenticatedStorage`], the interface
 //! shared with the MPT / LIPP / CMI baselines.
 //!
+//! # Module map
+//!
+//! The paper defines its queries once and makes COLE* differ from COLE only
+//! in when merges run; the crate is cut the same way:
+//!
+//! * `read` — the one implementation of `Get` (Algorithm 6) and `ProvQuery`
+//!   (Algorithm 8), and of the `root_hash_list` order `Hstate` commits to,
+//!   over a borrowed view of memtable groups and runs.
+//! * `engine` — [`Engine<S>`]: everything both engines share (open and
+//!   recovery, the block lifecycle, the WAL append, snapshots, reclamation,
+//!   the `AuthenticatedStorage` impl), generic over a [`MergeStrategy`].
+//! * `cole` / `async_cole` — the two strategies: [`Foreground`] (flush and
+//!   cascade inside `finalize_block`; `Cole = Engine<Foreground>`) and
+//!   [`Background`] (checkpointed merges on threads;
+//!   `AsyncCole = Engine<Background>`).
+//! * `snapshot` — [`Snapshot`]: an owned, immutable set of the same
+//!   components, answering through the same `read` functions.
+//! * `run`, `merge`, `memtable`, `manifest`, `proof` — the on-disk run, the
+//!   sort-merge, the sharded in-memory level, the durable commit point and
+//!   the proof format those are built from.
+//!
 //! # Examples
 //!
 //! ```
@@ -54,20 +75,23 @@
 mod async_cole;
 mod cole;
 mod config;
+mod engine;
 mod failpoint;
 mod manifest;
 mod memtable;
 mod merge;
 mod metrics;
 mod proof;
+mod read;
 mod run;
 mod snapshot;
 pub mod sync;
 
-pub use async_cole::AsyncCole;
-pub use cole::Cole;
+pub use async_cole::{AsyncCole, Background};
+pub use cole::{Cole, Foreground};
 pub use cole_storage::{FaultKind, FaultPlan};
 pub use config::ColeConfig;
+pub use engine::{Engine, MergeStrategy};
 pub use failpoint::KillPoints;
 pub use manifest::{gc_orphan_runs, Manifest, ManifestState};
 pub use memtable::{merge_sorted_entry_lists, ShardedMemtable};

@@ -550,13 +550,20 @@ pub(crate) fn recover_wal<F: FnMut(CompoundKey, StateValue)>(
     active.append_blocks(&live)?;
     replay_wal_blocks(blocks, flushed_block, current_block, insert);
     for path in old_files {
-        match std::fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
+        remove_wal_file(&path)?;
     }
     Ok((active, next_seq + 1))
+}
+
+/// Deletes a WAL file whose records are durable elsewhere; one that is
+/// already gone (a crash or failure interrupted an earlier deletion) is
+/// fine.
+pub(crate) fn remove_wal_file(path: &Path) -> Result<()> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// Shared recovery step: opens every run referenced by the manifest state,

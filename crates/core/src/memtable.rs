@@ -26,7 +26,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use cole_mbtree::{MbProof, MbTree};
+use cole_mbtree::MbTree;
 use cole_primitives::{Address, CompoundKey, Digest, StateValue};
 
 /// FNV-1a 64-bit over the address bytes; the stable shard hash.
@@ -39,9 +39,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The shard owning `addr` among `num_shards` write heads. Standalone so a
-/// frozen [`Snapshot`](crate::Snapshot) clone of the shard trees routes
-/// lookups exactly like the live [`ShardedMemtable`] that produced it.
+/// The shard owning `addr` among `num_shards` write heads. Standalone so
+/// the read path (`crate::read`) routes a lookup over any group of shard
+/// trees — live, sealed or frozen in a [`Snapshot`](crate::Snapshot) —
+/// exactly like the [`ShardedMemtable`] that filled them.
 pub(crate) fn shard_index(addr: &Address, num_shards: usize) -> usize {
     if num_shards == 1 {
         0
@@ -217,23 +218,6 @@ impl ShardedMemtable {
         roots
     }
 
-    /// Authenticated range query against every shard, in `root_hash_list`
-    /// order: one `(entries, proof)` pair per shard. Addresses live in
-    /// exactly one shard, so at most one element carries entries; the others
-    /// contribute (cheap) proofs of absence that keep the verifier's
-    /// reconstruction of `Hstate` complete.
-    #[must_use]
-    pub fn range_with_proofs(
-        &self,
-        lower: CompoundKey,
-        upper: CompoundKey,
-    ) -> Vec<(Vec<(CompoundKey, StateValue)>, MbProof)> {
-        self.shards
-            .iter()
-            .map(|shard| shard.range_with_proof(lower, upper))
-            .collect()
-    }
-
     /// Drains every shard into one globally sorted entry list (the flush
     /// input): per-shard in-order traversals, then a k-way merge. The result
     /// is byte-for-byte what a single memtable holding the same data would
@@ -353,28 +337,6 @@ mod tests {
         for (i, shard) in mem.shards().iter().enumerate() {
             assert!(!shard.is_empty(), "shard {i} received no addresses");
         }
-    }
-
-    #[test]
-    fn range_with_proofs_covers_every_shard_in_order() {
-        let mut mem = filled(4, 500);
-        let roots = mem.root_hashes();
-        let lower = key(13, 0);
-        let upper = key(13, 100);
-        let proofs = mem.range_with_proofs(lower, upper);
-        assert_eq!(proofs.len(), 4);
-        let mut hits = 0;
-        for (i, (entries, proof)) in proofs.iter().enumerate() {
-            // Every proof verifies against its shard's root, entries or not.
-            let (root, proved) = proof.compute(lower, upper).unwrap();
-            assert_eq!(root, roots[i], "shard {i} proof root");
-            assert_eq!(&proved, entries);
-            if !entries.is_empty() {
-                hits += 1;
-                assert!(entries.iter().all(|(k, _)| k.address().low_u64() == 13));
-            }
-        }
-        assert_eq!(hits, 1, "an address lives in exactly one shard");
     }
 
     #[test]

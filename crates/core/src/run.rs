@@ -1219,10 +1219,10 @@ impl Run {
 
     /// Deletes the run's files from disk. Call only after the run has been
     /// removed from every level (obsolete runs after a merge commit) *and*
-    /// no published snapshot pins it: the engines route every superseded
-    /// run through their `retired` queue, and
-    /// [`reclaim_retired_runs`](crate::snapshot) calls this only once the
-    /// engine holds the run's last `Arc` (`strong_count == 1`). A crash
+    /// no published snapshot pins it: the engine routes every superseded
+    /// run through its `retired` queue, and
+    /// [`reclaim`](crate::Engine::reclaim) calls this only once the engine
+    /// holds the run's last `Arc` (`strong_count == 1`). A crash
     /// between retire and deletion is safe — the committed manifest stopped
     /// referencing the run at merge time, so orphan GC removes the files on
     /// the next open.

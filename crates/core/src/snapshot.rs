@@ -15,62 +15,41 @@
 //! unchanged client-side `VerifyProv`.
 //!
 //! Superseded runs are retired, not unlinked: a flush/merge commit moves
-//! them into the engine's retired list and [`reclaim_retired_runs`] deletes
-//! a run's files only once the engine holds the last `Arc` — i.e. after the
-//! last snapshot pinning the run dropped. Retired runs never re-enter new
-//! snapshots, so "unpinned" is a stable (monotone) condition. A crash
-//! between retire and delete leaves orphan files that manifest recovery
-//! garbage-collects on reopen, exactly as for the old in-place deletion.
+//! them into the engine's retired list and [`reclaim`](crate::Engine::reclaim)
+//! deletes a run's files only once the engine holds the last `Arc` — i.e.
+//! after the last snapshot pinning the run dropped. Retired runs never
+//! re-enter new snapshots, so "unpinned" is a stable (monotone) condition.
+//! A crash between retire and delete leaves orphan files that manifest
+//! recovery garbage-collects on reopen, exactly as for the old in-place
+//! deletion.
 
 use std::sync::Arc;
 
-use cole_mbtree::MbTree;
-use cole_primitives::{
-    Address, CompoundKey, Digest, ProvenanceResult, Result, StateValue, VersionedValue,
-};
+use cole_primitives::{Address, Digest, ProvenanceResult, Result, StateValue};
 
-use crate::memtable::shard_index;
 use crate::metrics::Metrics;
-use crate::proof::{compute_hstate, ColeProof, ComponentProof, RootEntryKind};
-use crate::run::{Run, RunContext};
-
-/// One frozen in-memory group: the shard trees (write heads) and the root
-/// digests they verify against, in `root_hash_list` order.
-#[derive(Debug, Clone)]
-pub(crate) struct SnapshotMemGroup {
-    pub(crate) trees: Arc<Vec<MbTree>>,
-    pub(crate) roots: Vec<Digest>,
-}
-
-impl SnapshotMemGroup {
-    /// Freezes a live sharded memtable: `roots` must be the just-recomputed
-    /// per-shard digests, so the cloned trees carry clean cached hashes and
-    /// `&self` proof construction never recomputes.
-    pub(crate) fn frozen(trees: Vec<MbTree>, roots: Vec<Digest>) -> Self {
-        debug_assert_eq!(trees.len(), roots.len());
-        SnapshotMemGroup {
-            trees: Arc::new(trees),
-            roots,
-        }
-    }
-}
+use crate::proof::compute_hstate;
+use crate::read::{MemGroup, ReadView};
+use crate::run::Run;
 
 /// An immutable point-in-time view of one COLE engine, pinned by readers.
 ///
 /// Constructed by [`Cole::snapshot_at`](crate::Cole::snapshot_at) /
 /// [`AsyncCole::snapshot_at`](crate::AsyncCole::snapshot_at) at block
 /// boundaries and published atomically by a serving front-end. All queries
-/// take `&self` and reproduce the owning engine's proof-component order
-/// byte-for-byte, so proofs verify against [`hstate`](Snapshot::hstate)
-/// with the unchanged verifier.
+/// take `&self` and run the same `crate::read` algorithms as the owning
+/// engine over the same components in the same order, so proofs are
+/// byte-identical to the live engine's and verify against
+/// [`hstate`](Snapshot::hstate) with the unchanged verifier.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     height: u64,
     hstate: Digest,
-    /// Group 0 is the (frozen) writing group and is always searched; later
-    /// groups are sealed merging groups that prove absence once a query
-    /// early-stops — mirroring the live engines' query surface.
-    mem_groups: Vec<SnapshotMemGroup>,
+    /// Frozen clone of the writing group, with the roots it had when taken.
+    writing: MemGroup,
+    /// The asynchronous engine's sealed merging group, if one was in
+    /// flight (shared, already immutable).
+    sealed: Option<MemGroup>,
     /// Every on-disk run, young to old (flattened level order).
     runs: Vec<Arc<Run>>,
     metrics: Arc<Metrics>,
@@ -79,24 +58,30 @@ pub struct Snapshot {
 impl Snapshot {
     pub(crate) fn new(
         height: u64,
-        mem_groups: Vec<SnapshotMemGroup>,
+        writing: MemGroup,
+        sealed: Option<MemGroup>,
         runs: Vec<Arc<Run>>,
         metrics: Arc<Metrics>,
     ) -> Self {
-        let mut list: Vec<(RootEntryKind, Digest)> = mem_groups
-            .iter()
-            .flat_map(|g| g.roots.iter().map(|r| (RootEntryKind::Memtable, *r)))
-            .collect();
-        for run in &runs {
-            list.push((RootEntryKind::Run, run.commitment()));
-        }
-        let hstate = compute_hstate(&list);
-        Snapshot {
+        let mut snapshot = Snapshot {
             height,
-            hstate,
-            mem_groups,
+            hstate: Digest::ZERO,
+            writing,
+            sealed,
             runs,
             metrics,
+        };
+        let list = snapshot.view().root_hash_list(&snapshot.writing.roots);
+        snapshot.hstate = compute_hstate(&list);
+        snapshot
+    }
+
+    fn view(&self) -> ReadView<'_, std::slice::Iter<'_, Arc<Run>>> {
+        ReadView {
+            writing: &self.writing.trees,
+            sealed: self.sealed.as_slice(),
+            runs: self.runs.iter(),
+            metrics: &self.metrics,
         }
     }
 
@@ -121,25 +106,8 @@ impl Snapshot {
     ///
     /// Returns an error if a run file read fails.
     pub fn get(&self, addr: Address) -> Result<Option<StateValue>> {
-        Metrics::inc(&self.metrics.gets);
         Metrics::inc(&self.metrics.snapshot_reads);
-        for group in &self.mem_groups {
-            let shard = shard_index(&addr, group.trees.len());
-            if let Some((_, value)) = group.trees[shard].get_latest(addr) {
-                return Ok(Some(value));
-            }
-        }
-        for run in &self.runs {
-            if !run.may_contain(&addr)? {
-                Metrics::inc(&self.metrics.bloom_skips);
-                continue;
-            }
-            Metrics::inc(&self.metrics.runs_searched);
-            if let Some((_, value)) = run.get_latest(&addr)? {
-                return Ok(Some(value));
-            }
-        }
-        Ok(None)
+        self.view().get(addr)
     }
 
     /// Provenance query with integrity proof (Algorithm 8 over the frozen
@@ -157,83 +125,8 @@ impl Snapshot {
         blk_lower: u64,
         blk_upper: u64,
     ) -> Result<ProvenanceResult> {
-        Metrics::inc(&self.metrics.prov_queries);
         Metrics::inc(&self.metrics.snapshot_reads);
-        let lower = CompoundKey::new(addr, blk_lower.saturating_sub(1));
-        let upper = CompoundKey::new(addr, blk_upper.saturating_add(1));
-
-        let mut components = Vec::new();
-        let mut collected: Vec<(CompoundKey, StateValue)> = Vec::new();
-        let mut early_stop = false;
-
-        for (group_idx, group) in self.mem_groups.iter().enumerate() {
-            for (tree, root) in group.trees.iter().zip(&group.roots) {
-                // The writing group (group 0) is searched unconditionally,
-                // like the live engines; sealed groups prove absence once
-                // the address's history is already complete.
-                if group_idx > 0 && early_stop {
-                    components.push(ComponentProof::MemUnsearched { root: *root });
-                    continue;
-                }
-                let (results, proof) = tree.range_with_proof(lower, upper);
-                for (k, _) in &results {
-                    if k.address() == addr && k.block_height() < blk_lower {
-                        early_stop = true;
-                    }
-                }
-                collected.extend(results);
-                components.push(ComponentProof::MemSearched { proof });
-            }
-        }
-
-        for run in &self.runs {
-            if early_stop {
-                components.push(ComponentProof::RunUnsearched {
-                    commitment: run.commitment(),
-                });
-                continue;
-            }
-            if !run.may_contain(&addr)? {
-                Metrics::inc(&self.metrics.bloom_skips);
-                components.push(ComponentProof::RunBloomNegative {
-                    bloom: run.bloom_bytes()?,
-                    merkle_root: run.merkle_root(),
-                });
-                continue;
-            }
-            Metrics::inc(&self.metrics.runs_searched);
-            let scan = run.scan_range(&lower, &upper)?;
-            let merkle_proof = run.range_proof(scan.first_pos, scan.last_pos)?;
-            for (k, _) in &scan.entries {
-                if k.address() == addr && k.block_height() < blk_lower {
-                    early_stop = true;
-                }
-            }
-            collected.extend(scan.entries.iter().copied());
-            components.push(ComponentProof::RunSearched {
-                entries: scan.entries,
-                merkle_proof,
-                bloom_digest: run.bloom_digest(),
-            });
-        }
-
-        let mut values: Vec<VersionedValue> = collected
-            .into_iter()
-            .filter(|(k, _)| {
-                k.address() == addr
-                    && k.block_height() >= blk_lower
-                    && k.block_height() <= blk_upper
-            })
-            .map(|(k, v)| VersionedValue::new(k.block_height(), v))
-            .collect();
-        values.sort_by_key(|v| std::cmp::Reverse(v.block_height));
-        values.dedup();
-
-        let proof = ColeProof { components };
-        Ok(ProvenanceResult {
-            values,
-            proof: proof.to_bytes(),
-        })
+        self.view().prov_query(addr, blk_lower, blk_upper)
     }
 
     /// Number of on-disk runs pinned by this snapshot.
@@ -241,30 +134,4 @@ impl Snapshot {
     pub fn num_runs(&self) -> usize {
         self.runs.len()
     }
-}
-
-/// Deletes the files of every retired run whose last external pin dropped
-/// (the engine's `Arc` in `retired` is the only one left), keeping the rest
-/// for a later pass. Each deletion crosses `kill_label` so the crash tests
-/// cover the deferred retire step; a failure keeps the current and all
-/// remaining runs queued — [`Run::delete_files`] is idempotent and manifest
-/// recovery garbage-collects any leftovers as orphans.
-pub(crate) fn reclaim_retired_runs(
-    retired: &mut Vec<Arc<Run>>,
-    ctx: &RunContext,
-    kill_label: &str,
-) -> Result<()> {
-    let pending = std::mem::take(retired);
-    for (i, run) in pending.iter().enumerate() {
-        if Arc::strong_count(run) > 1 {
-            retired.push(Arc::clone(run));
-            continue;
-        }
-        if let Err(e) = run.delete_files().and_then(|()| ctx.kill(kill_label)) {
-            retired.extend(pending[i..].iter().cloned());
-            return Err(e);
-        }
-        Metrics::inc(&ctx.metrics.retired_runs_deleted);
-    }
-    Ok(())
 }

@@ -2,7 +2,7 @@
 //! fully-synced WAL while the parent `SIGKILL`s it mid-flush, then the
 //! parent reopens the store and verifies nothing synced was lost.
 //!
-//! The in-process kill-point tests (`crates/core/src/cole.rs`,
+//! The in-process kill-point tests (`tests/crash_injection.rs`,
 //! `failpoint.rs`) stop the write path at *chosen* instructions; this
 //! harness is the complementary blunt instrument — the kill lands at a
 //! genuinely arbitrary point in a live flush/merge, page-cache state and

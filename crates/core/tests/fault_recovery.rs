@@ -10,8 +10,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cole_core::{Cole, ColeConfig, FaultKind, FaultPlan};
-use cole_primitives::{Address, AuthenticatedStorage, ColeError, StateValue};
+use cole_core::{AsyncCole, Cole, ColeConfig, FaultKind, FaultPlan, KillPoints};
+use cole_primitives::{Address, AuthenticatedStorage, ColeError, Digest, StateValue};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cole-fault-{}-{tag}", std::process::id()));
@@ -204,5 +204,171 @@ fn transient_wal_append_fault_clears() {
         reopened.get(addr(20)).unwrap(),
         Some(StateValue::from_u64(2))
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ------------------------------------------------------------------ COLE*
+
+/// Drives blocks `from..=to` of 4 fresh addresses each through a COLE*
+/// engine the way a node does: a failed `finalize_block` is retried (the
+/// contract is "the same call succeeds once the fault clears", and
+/// `clear_fault` runs in between). Returns the per-block digests and how
+/// many calls failed.
+fn drive_async(
+    engine: &mut AsyncCole,
+    from: u64,
+    to: u64,
+    mut clear_fault: impl FnMut(),
+) -> (Vec<Digest>, usize) {
+    let mut digests = Vec::new();
+    let mut failures = 0usize;
+    for blk in from..=to {
+        engine.begin_block(blk).unwrap();
+        for a in 0..4u64 {
+            engine
+                .put(addr(blk * 10 + a), StateValue::from_u64(blk))
+                .unwrap();
+        }
+        digests.push(match engine.finalize_block() {
+            Ok(digest) => digest,
+            Err(err) => {
+                assert!(matches!(err, ColeError::Io(_)), "got: {err}");
+                failures += 1;
+                clear_fault();
+                engine
+                    .finalize_block()
+                    .expect("the retried block boundary must succeed")
+            }
+        });
+    }
+    (digests, failures)
+}
+
+/// Checks a COLE* engine that survived one failed background build against
+/// an un-faulted twin that ingested the same blocks: same per-block
+/// digests, every finalized value readable live, the same `Hstate` once the
+/// merges settle, and every value still there after a reopen.
+fn assert_matches_unfaulted_twin(
+    mut faulted: AsyncCole,
+    dir: &std::path::Path,
+    config: ColeConfig,
+    digests: &[Digest],
+    blocks: u64,
+) {
+    let twin_dir = dir.with_extension("twin");
+    std::fs::remove_dir_all(&twin_dir).ok();
+    let mut twin = AsyncCole::open(&twin_dir, config).unwrap();
+    let (twin_digests, twin_failures) = drive_async(&mut twin, 1, blocks, || ());
+    assert_eq!(twin_failures, 0);
+    assert_eq!(digests, twin_digests, "Hstate diverged from the twin");
+
+    let all_readable = |engine: &AsyncCole, when: &str| {
+        for blk in 1..=blocks {
+            for a in 0..4u64 {
+                assert_eq!(
+                    engine.get(addr(blk * 10 + a)).unwrap(),
+                    Some(StateValue::from_u64(blk)),
+                    "address {blk}/{a} lost {when}"
+                );
+            }
+        }
+    };
+    all_readable(&faulted, "live");
+    faulted.flush().unwrap();
+    twin.flush().unwrap();
+    assert_eq!(faulted.state_root(), twin.state_root(), "after settling");
+    all_readable(&faulted, "after settling");
+    drop(faulted);
+    drop(twin);
+    let reopened = AsyncCole::open(dir, config).unwrap();
+    all_readable(&reopened, "after reopen");
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::remove_dir_all(&twin_dir).ok();
+}
+
+/// A failed background *flush* is retried, never dropped. Before the fix
+/// the failed join consumed the thread handle, the next block boundary
+/// found a sealed memtable group with no thread, dropped the group, moved
+/// `flushed_block` past its blocks and deleted their WAL segments: 16 of
+/// 160 addresses read `None`, live and after reopen.
+#[test]
+fn async_failed_background_flush_is_retried_not_dropped() {
+    let dir = tmpdir("async-flush-retry");
+    let config = ColeConfig::default()
+        .with_memtable_capacity(16)
+        .with_size_ratio(2)
+        .with_wal_enabled(true);
+    let kill_points = Arc::new(KillPoints::new());
+    kill_points.arm_at("async-flush:shard_drained", 0);
+    let mut engine = AsyncCole::open_with_kill_points(&dir, config, Some(kill_points)).unwrap();
+    let (digests, failures) = drive_async(&mut engine, 1, 40, || ());
+    assert_eq!(
+        failures, 1,
+        "the one-shot kill point fails exactly one call"
+    );
+    assert_matches_unfaulted_twin(engine, &dir, config, &digests, 40);
+}
+
+/// A failed background *merge* is retried, never dropped: the level's
+/// merging group stays live until a rebuilt run (fresh id) replaces it.
+/// Before the fix the next roll of the level overwrote the merging group
+/// (a `debug_assert!` in debug builds, lost runs in release). The merge
+/// thread — and only it, a flush reads no run files — is made to fail by
+/// moving one of its input files aside until the retry.
+#[test]
+fn async_failed_background_merge_is_retried_not_dropped() {
+    let dir = tmpdir("async-merge-retry");
+    let config = ColeConfig::default()
+        .with_memtable_capacity(16)
+        .with_size_ratio(2)
+        .with_wal_enabled(true);
+    let mut engine = AsyncCole::open(&dir, config).unwrap();
+    // Run 0 is committed at block 8; level 1 first fills — and merges runs
+    // 1 and 0 — at block 12.
+    let (mut digests, failures) = drive_async(&mut engine, 1, 8, || ());
+    assert_eq!((failures, engine.runs_in_level(1)), (0, 1));
+    let (input, aside) = (dir.join("run_00000000.val"), dir.join("aside"));
+    std::fs::rename(&input, &aside).unwrap();
+    let (rest, failures) = drive_async(&mut engine, 9, 60, || {
+        std::fs::rename(&aside, &input).unwrap();
+    });
+    assert_eq!(failures, 1, "the failed merge fails exactly one call");
+    digests.extend(rest);
+    assert_matches_unfaulted_twin(engine, &dir, config, &digests, 60);
+}
+
+/// API skew: COLE* opens with a fault plan too, and the plan reaches its
+/// WAL. A `wal:append` fault fails `finalize_block` before any checkpoint
+/// work; the retried block succeeds and the memtable is intact.
+#[test]
+fn async_transient_wal_append_fault_clears() {
+    let dir = tmpdir("async-wal-append");
+    let faults = Arc::new(FaultPlan::new());
+    let mut engine =
+        AsyncCole::open_with_faults(&dir, small_config(), Arc::clone(&faults)).unwrap();
+    engine.begin_block(1).unwrap();
+    engine.put(addr(10), StateValue::from_u64(1)).unwrap();
+    engine.finalize_block().unwrap();
+
+    faults.fail("wal:append", FaultKind::Io, 1);
+    engine.begin_block(2).unwrap();
+    engine.put(addr(20), StateValue::from_u64(2)).unwrap();
+    let err = engine.finalize_block().unwrap_err();
+    assert!(matches!(err, ColeError::Io(_)), "got: {err}");
+    assert_eq!(faults.injected(), 1);
+    assert_eq!(engine.memtable_len(), 2, "the memtable is intact");
+    assert_eq!(engine.runs_in_level(1), 0);
+
+    engine.finalize_block().unwrap();
+    assert_eq!(engine.get(addr(20)).unwrap(), Some(StateValue::from_u64(2)));
+    let root = engine.state_root();
+    drop(engine);
+
+    let mut reopened = AsyncCole::open(&dir, small_config()).unwrap();
+    assert_eq!(
+        reopened.get(addr(20)).unwrap(),
+        Some(StateValue::from_u64(2))
+    );
+    assert_eq!(reopened.state_root(), root);
     std::fs::remove_dir_all(&dir).ok();
 }

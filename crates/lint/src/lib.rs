@@ -67,6 +67,13 @@
 //!   malformed frame kill a connection handler instead of surfacing
 //!   `InvalidEncoding`.
 //!
+//! * **`single-read-path`** — inside `crates/core/src`, a `ComponentProof`
+//!   variant may be *constructed* only in `read.rs` (the one implementation
+//!   of Algorithm 8; `proof.rs`, which decodes proofs, is exempt). A second
+//!   construction site is a second copy of the query algorithm, and the
+//!   order of proof components — a consensus-relevant invariant — would be
+//!   kept in sync by hand again. Matching on the variants is fine anywhere.
+//!
 //! A site can be waived with a same-line or preceding-line comment
 //! `cole_lint: allow(<rule>)`, which is intentionally greppable.
 //!
@@ -93,6 +100,19 @@ const WRITE_PATH_MODULES: [&str; 3] = [
     "crates/core/src/manifest.rs",
     "crates/core/src/run.rs",
     "crates/core/src/merge.rs",
+];
+
+/// Where proof components may be built (`single-read-path`): the engine
+/// crate's source directory, and the two files in it that may name a
+/// `ComponentProof` variant in expression position.
+const READ_PATH_SCOPE: &str = "crates/core/src/";
+const READ_PATH_OWNERS: [&str; 2] = ["read.rs", "proof.rs"];
+const COMPONENT_VARIANTS: [&str; 5] = [
+    "MemSearched",
+    "MemUnsearched",
+    "RunSearched",
+    "RunBloomNegative",
+    "RunUnsearched",
 ];
 
 /// The one crate root allowed `#![deny(unsafe_code)]` in place of `forbid`
@@ -458,6 +478,7 @@ pub fn lint_dir(root: &Path) -> Result<Vec<Finding>, String> {
         );
         check_condvar_wait(file, &mut findings);
         check_panic_path(file, &mut findings);
+        check_single_read_path(file, &mut findings);
     }
 
     check_error_taxonomy(&files, root, &mut findings);
@@ -1131,6 +1152,81 @@ fn check_panic_path(file: &SourceFile, findings: &mut Vec<Finding>) {
 /// naming no variant fail like stale ORDERINGS.md entries. A new error
 /// code cannot ship undocumented — clients decide retry behavior from the
 /// taxonomy.
+/// Whether the `ComponentProof::<Variant>` mention ending at byte `end` of
+/// line `idx` is a pattern (a `match` arm, `let`, `if let`, `matches!`)
+/// and not an expression that builds the variant: skips the variant's
+/// `{ .. }` body, across lines if need be, and looks at what follows it.
+fn is_pattern_position(file: &SourceFile, idx: usize, end: usize) -> bool {
+    let line = &file.lines[idx].code;
+    if line[..end].contains("matches!(") {
+        return true;
+    }
+    let mut depth = 0usize;
+    let tail =
+        std::iter::once(&line[end..]).chain(file.lines[idx + 1..].iter().map(|l| l.code.as_str()));
+    for text in tail {
+        for (pos, c) in text.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth > 0 => depth -= 1,
+                c if c.is_whitespace() => {}
+                _ if depth == 0 => {
+                    let rest = &text[pos..];
+                    return rest.starts_with("=>")
+                        || rest.starts_with('|')
+                        || rest.starts_with("if ")
+                        || (rest.starts_with('=') && !rest.starts_with("=="));
+                }
+                _ => {}
+            }
+        }
+    }
+    false
+}
+
+fn check_single_read_path(file: &SourceFile, findings: &mut Vec<Finding>) {
+    let rel = file.rel.to_string_lossy().replace('\\', "/");
+    let Some(pos) = rel.find(READ_PATH_SCOPE) else {
+        return;
+    };
+    let module = &rel[pos + READ_PATH_SCOPE.len()..];
+    if READ_PATH_OWNERS.contains(&module) {
+        return;
+    }
+    for idx in 0..file.lines.len() {
+        let line = &file.lines[idx];
+        if line.in_test {
+            continue;
+        }
+        let mut from = 0usize;
+        while let Some(found) = line.code[from..].find("ComponentProof::") {
+            let start = from + found + "ComponentProof::".len();
+            from = start;
+            let Some(variant) = COMPONENT_VARIANTS
+                .iter()
+                .find(|v| line.code[start..].starts_with(**v))
+            else {
+                continue;
+            };
+            if is_pattern_position(file, idx, start + variant.len())
+                || waived(file, idx, "single-read-path")
+            {
+                continue;
+            }
+            findings.push(Finding {
+                rule: "single-read-path",
+                path: file.rel.clone(),
+                line: idx + 1,
+                message: format!(
+                    "`ComponentProof::{variant}` is constructed outside crates/core/src/read.rs: \
+                     Algorithm 8 (and the component order `Hstate` commits to) has one \
+                     implementation; extend `ReadView` there"
+                ),
+            });
+        }
+    }
+}
+
 fn check_error_taxonomy(files: &[SourceFile], root: &Path, findings: &mut Vec<Finding>) {
     // Locate the declaration: the one non-shim, non-test file declaring
     // `pub enum ErrorCode`.

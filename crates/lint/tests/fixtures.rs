@@ -194,6 +194,27 @@ fn error_taxonomy_drift_is_caught() {
 }
 
 #[test]
+fn a_second_proof_construction_site_is_caught() {
+    let findings = lint_fixture("bad_single_read_path");
+    // The construction, not the `match` arm below it.
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "single-read-path");
+    assert_eq!(findings[0].path, Path::new("crates/core/src/engine.rs"));
+    assert_eq!(findings[0].line, 9);
+    assert!(
+        findings[0].message.contains("RunUnsearched"),
+        "{}",
+        findings[0].message
+    );
+}
+
+#[test]
+fn read_rs_proof_decode_patterns_and_tests_may_name_the_variants() {
+    let findings = lint_fixture("good_single_read_path");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn repo_tree_is_clean() {
     let findings = lint_dir(&repo_root()).unwrap();
     assert!(findings.is_empty(), "{findings:?}");

@@ -57,8 +57,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// Connection-level counters of a running server (request-level counters
-/// live in the engine's [`Metrics`]).
+/// Connection-level gauges of a running server. Everything counted per
+/// request or per disconnect (`requests_shed`, `requests_timed_out`,
+/// `idle_disconnects`, …) lives in the engine's [`Metrics`] and nowhere
+/// else.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted and handed to a handler thread.
@@ -67,14 +69,6 @@ pub struct ServerStats {
     pub connections_rejected: AtomicU64,
     /// Handler threads currently alive.
     pub active_connections: AtomicUsize,
-    /// Requests answered [`ErrorCode::Busy`] because `max_in_flight` was
-    /// reached.
-    pub requests_shed: AtomicU64,
-    /// Read-only requests answered [`ErrorCode::Timeout`] after running
-    /// past `request_deadline`.
-    pub requests_timed_out: AtomicU64,
-    /// Connections dropped by the `idle_timeout` watchdog.
-    pub idle_disconnects: AtomicU64,
 }
 
 /// A running server; dropping it (or calling [`shutdown`]
@@ -160,7 +154,7 @@ pub fn serve<E: ServableEngine>(
                     let stats = Arc::clone(&accept_stats);
                     let in_flight = Arc::clone(&in_flight);
                     handlers.push(std::thread::spawn(move || {
-                        handle_connection(&shared, conn, &shutdown, &in_flight, &stats, config);
+                        handle_connection(&shared, conn, &shutdown, &in_flight, config);
                         stats.active_connections.fetch_sub(1, Ordering::Relaxed);
                     }));
                 }
@@ -195,7 +189,6 @@ fn handle_connection<E: ServableEngine>(
     mut conn: Box<dyn Connection>,
     shutdown: &AtomicBool,
     in_flight: &InFlightGauge,
-    stats: &ServerStats,
     config: ServerConfig,
 ) {
     let peer = conn.peer();
@@ -207,7 +200,7 @@ fn handle_connection<E: ServableEngine>(
                     last_activity = Instant::now();
                     let response = Frame {
                         request_id: frame.request_id,
-                        msg: serve_request(shared, frame.msg, in_flight, stats, &config),
+                        msg: serve_request(shared, frame.msg, in_flight, &config),
                     };
                     if let Err(e) = write_frame(&mut conn, &response) {
                         eprintln!("[cole_server] write to {peer} failed: {e}");
@@ -226,7 +219,6 @@ fn handle_connection<E: ServableEngine>(
                 }
                 if let Some(idle) = config.idle_timeout {
                     if last_activity.elapsed() >= idle {
-                        stats.idle_disconnects.fetch_add(1, Ordering::Relaxed);
                         Metrics::inc(&shared.metrics().idle_disconnects);
                         return;
                     }
@@ -251,11 +243,9 @@ fn serve_request<E: ServableEngine>(
     shared: &SharedEngine<E>,
     msg: Message,
     in_flight: &InFlightGauge,
-    stats: &ServerStats,
     config: &ServerConfig,
 ) -> Message {
     let Some(_permit) = in_flight.try_acquire() else {
-        stats.requests_shed.fetch_add(1, Ordering::Relaxed);
         Metrics::inc(&shared.metrics().requests_shed);
         return Message::Error {
             code: ErrorCode::Busy,
@@ -270,7 +260,6 @@ fn serve_request<E: ServableEngine>(
     let response = dispatch(shared, msg);
     if let Some(deadline) = config.request_deadline {
         if read_only && started.elapsed() >= deadline {
-            stats.requests_timed_out.fetch_add(1, Ordering::Relaxed);
             Metrics::inc(&shared.metrics().requests_timed_out);
             return Message::Error {
                 code: ErrorCode::Timeout,

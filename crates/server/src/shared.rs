@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use cole_core::{AsyncCole, Cole, Metrics, Snapshot};
+use cole_core::{Engine, MergeStrategy, Metrics, Snapshot};
 use cole_primitives::{
     Address, AuthenticatedStorage, Digest, ProvenanceResult, Result, StateValue,
 };
@@ -74,7 +74,8 @@ impl ReadSnapshot for Snapshot {
 
 /// The engine surface a server needs: the [`AuthenticatedStorage`] contract
 /// plus batched writes, snapshot publication, deferred-run reclamation, and
-/// the shared metrics handle. Implemented by [`Cole`] and [`AsyncCole`].
+/// the shared metrics handle. Implemented by every [`Engine`], i.e. by
+/// [`Cole`](cole_core::Cole) and [`AsyncCole`](cole_core::AsyncCole).
 pub trait ServableEngine: AuthenticatedStorage + Send + 'static {
     /// The immutable snapshot type readers pin.
     type Snapshot: ReadSnapshot;
@@ -104,43 +105,23 @@ pub trait ServableEngine: AuthenticatedStorage + Send + 'static {
     fn metrics_handle(&self) -> Arc<Metrics>;
 }
 
-impl ServableEngine for Cole {
+impl<S: MergeStrategy> ServableEngine for Engine<S> {
     type Snapshot = Snapshot;
 
     fn put_batch(&mut self, entries: &[(Address, StateValue)]) -> Result<()> {
-        Cole::put_batch(self, entries)
+        Engine::put_batch(self, entries)
     }
 
     fn snapshot_at(&mut self, height: u64) -> Snapshot {
-        Cole::snapshot_at(self, height)
+        Engine::snapshot_at(self, height)
     }
 
     fn reclaim(&mut self) -> Result<()> {
-        Cole::reclaim(self)
+        Engine::reclaim(self)
     }
 
     fn metrics_handle(&self) -> Arc<Metrics> {
-        Cole::metrics_handle(self)
-    }
-}
-
-impl ServableEngine for AsyncCole {
-    type Snapshot = Snapshot;
-
-    fn put_batch(&mut self, entries: &[(Address, StateValue)]) -> Result<()> {
-        AsyncCole::put_batch(self, entries)
-    }
-
-    fn snapshot_at(&mut self, height: u64) -> Snapshot {
-        AsyncCole::snapshot_at(self, height)
-    }
-
-    fn reclaim(&mut self) -> Result<()> {
-        AsyncCole::reclaim(self)
-    }
-
-    fn metrics_handle(&self) -> Arc<Metrics> {
-        AsyncCole::metrics_handle(self)
+        Engine::metrics_handle(self)
     }
 }
 
@@ -418,7 +399,7 @@ impl<E: ServableEngine> SharedEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cole_core::ColeConfig;
+    use cole_core::{Cole, ColeConfig};
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cole-shared-{tag}-{}", std::process::id()));

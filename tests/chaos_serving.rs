@@ -11,7 +11,6 @@
 //! * after the faults clear the server serves normally, and nothing
 //!   manifest-covered is lost across a reopen.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -240,11 +239,10 @@ fn shed_requests_are_answered_busy_not_dropped() {
         "every attempt was answered Busy"
     );
     assert_eq!(
-        handle.stats().requests_shed.load(Ordering::Relaxed),
+        shared.metrics().snapshot().requests_shed,
         3,
         "the server counted every shed request"
     );
-    assert_eq!(shared.metrics().snapshot().requests_shed, 3);
     // The server is alive and still answers (sheds) — nothing crashed.
     assert!(client.get(Address::from_low_u64(2)).is_err());
     handle.shutdown();
@@ -277,10 +275,9 @@ fn idle_clients_are_disconnected_and_counted() {
         "the idle connection was closed by the server"
     );
     assert!(
-        handle.stats().idle_disconnects.load(Ordering::Relaxed) >= 1,
+        shared.metrics().snapshot().idle_disconnects >= 1,
         "the disconnect was counted"
     );
-    assert!(shared.metrics().snapshot().idle_disconnects >= 1);
 
     // The active client keeps working if it stays within the window — and
     // the server as a whole is unharmed by the disconnect.

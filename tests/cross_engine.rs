@@ -186,3 +186,117 @@ fn cole_and_cole_star_remain_consistent_under_interleaved_reads() {
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
 }
+
+/// The proof-component kinds of Algorithm 8, for the coverage check below.
+fn component_kind(c: &cole::cole_core::ComponentProof) -> &'static str {
+    use cole::cole_core::ComponentProof as C;
+    match c {
+        C::MemSearched { .. } => "mem-searched",
+        C::MemUnsearched { .. } => "mem-unsearched",
+        C::RunSearched { .. } => "run-searched",
+        C::RunBloomNegative { .. } => "run-bloom-negative",
+        C::RunUnsearched { .. } => "run-unsearched",
+    }
+}
+
+/// Drives `engine` block by block and, at every block boundary, asks the
+/// live engine and a snapshot of it the same questions: values must agree
+/// and provenance proofs must be byte-equal (and verify against the
+/// snapshot's `Hstate`). Returns the component kinds seen and the largest
+/// number of in-memory components in one proof.
+fn check_live_against_snapshot<E>(
+    mut engine: E,
+) -> (std::collections::BTreeSet<&'static str>, usize)
+where
+    E: cole::cole_server::ServableEngine<Snapshot = Snapshot>,
+{
+    const BLOCKS: u64 = 60;
+    let hot = Address::from_low_u64(7); // rewritten every block: early stops
+    let cold = Address::from_low_u64(10); // written in block 1 only: on disk
+    let ghost = Address::from_low_u64(0xdead_beef); // never written: Bloom-negative
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut max_mem_components = 0usize;
+    for height in 1..=BLOCKS {
+        engine.begin_block(height).unwrap();
+        engine.put(hot, StateValue::from_u64(height)).unwrap();
+        for w in 0..4u64 {
+            let addr = Address::from_low_u64(height * 10 + w);
+            engine
+                .put(addr, StateValue::from_u64(height * 100 + w))
+                .unwrap();
+        }
+        let hstate = engine.finalize_block().unwrap();
+        let snap = engine.snapshot_at(height);
+        assert_eq!(snap.hstate(), hstate, "{} block {height}", engine.name());
+
+        let recent = Address::from_low_u64(height * 10);
+        let older = Address::from_low_u64((height / 2).max(1) * 10 + 1);
+        for addr in [hot, cold, ghost, recent, older] {
+            assert_eq!(
+                engine.get(addr).unwrap(),
+                snap.get(addr).unwrap(),
+                "{} get({addr}) at block {height}",
+                engine.name()
+            );
+            for (lo, hi) in [(1, height), (height, height), (height / 2, height / 2 + 3)] {
+                let live = engine.prov_query(addr, lo, hi).unwrap();
+                let frozen = snap.prov_query(addr, lo, hi).unwrap();
+                assert_eq!(live.values, frozen.values);
+                assert!(
+                    live.proof == frozen.proof,
+                    "{} proof bytes for {addr} in [{lo}, {hi}] differ at block {height}",
+                    engine.name()
+                );
+                assert!(engine.verify_prov(addr, lo, hi, &live, hstate).unwrap());
+                let proof = cole::cole_core::ColeProof::from_bytes(&live.proof).unwrap();
+                let mem = proof
+                    .components
+                    .iter()
+                    .filter(|c| component_kind(c).starts_with("mem-"))
+                    .count();
+                max_mem_components = max_mem_components.max(mem);
+                kinds.extend(proof.components.iter().map(component_kind));
+            }
+        }
+    }
+    (kinds, max_mem_components)
+}
+
+/// Pins "one read path": a live engine and its snapshot answer `get` with
+/// the same value and `prov_query` with the same proof bytes, at every
+/// block boundary of a run that flushes, merges and (COLE*) keeps a sealed
+/// memtable group in flight — for present, absent, early-stopping and
+/// Bloom-negative addresses, with one and with four memtable shards.
+#[test]
+fn live_engine_and_snapshot_answer_identically() {
+    let all_run_kinds = ["run-bloom-negative", "run-searched", "run-unsearched"];
+    for shards in [1usize, 4] {
+        let config = ColeConfig::default()
+            .with_memtable_capacity(32)
+            .with_size_ratio(3)
+            .with_memtable_shards(shards);
+
+        let dir = tmpdir(&format!("live-snap-sync-{shards}"));
+        let (kinds, mem) = check_live_against_snapshot(Cole::open(&dir, config).unwrap());
+        assert_eq!(mem, shards, "COLE has one in-memory group");
+        for kind in all_run_kinds.iter().chain(&["mem-searched"]) {
+            assert!(kinds.contains(kind), "COLE/{shards}: no {kind} component");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        let dir = tmpdir(&format!("live-snap-async-{shards}"));
+        let (kinds, mem) = check_live_against_snapshot(AsyncCole::open(&dir, config).unwrap());
+        assert_eq!(
+            mem,
+            2 * shards,
+            "COLE* must have had a sealed group in flight"
+        );
+        for kind in all_run_kinds
+            .iter()
+            .chain(&["mem-searched", "mem-unsearched"])
+        {
+            assert!(kinds.contains(kind), "COLE*/{shards}: no {kind} component");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
