@@ -21,9 +21,9 @@ fn keys(n: u64) -> Vec<CompoundKey> {
 /// Both SHA-256 kernels side by side: the portable scalar rounds first, then
 /// — unless they are the same thing on this CPU — whatever
 /// `cole_hash::backend()` selected. Inputs are the sizes the engine hashes:
-/// one block, a page, a large buffer, a disclosed Bloom filter of the size
-/// the benchmark's runs carry (78 KB, hashed as the verifier hashes it —
-/// straight from the received bytes), a Merkle leaf and an MHT node pair.
+/// one block, a page, a large buffer, a Bloom filter of the size the
+/// benchmark's runs carry (78 KB, hashed as a run build hashes it for its
+/// commitment), a Merkle leaf and an MHT node pair.
 fn bench_hash_kernels(c: &mut Criterion) {
     type Kernel = (
         &'static str,

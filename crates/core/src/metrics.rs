@@ -40,9 +40,11 @@ pub struct Metrics {
     pub gets: AtomicU64,
     /// Provenance queries answered.
     pub prov_queries: AtomicU64,
-    /// Runs skipped thanks to a negative Bloom-filter check.
+    /// Runs a `get` skipped thanks to a negative Bloom-filter check (a
+    /// provenance query never skips: it proves absence by search).
     pub bloom_skips: AtomicU64,
-    /// Runs actually searched (Bloom filter positive or absent).
+    /// Runs actually searched: by a `get` whose Bloom check passed, or by a
+    /// provenance query before its early stop.
     pub runs_searched: AtomicU64,
     /// Blocks appended to the write-ahead log.
     pub wal_appends: AtomicU64,
@@ -208,9 +210,9 @@ pub struct MetricsSnapshot {
     pub gets: u64,
     /// Provenance queries answered.
     pub prov_queries: u64,
-    /// Runs skipped thanks to a negative Bloom-filter check.
+    /// Runs a `get` skipped thanks to a negative Bloom-filter check.
     pub bloom_skips: u64,
-    /// Runs actually searched (Bloom filter positive or absent).
+    /// Runs searched by a `get` or a provenance query.
     pub runs_searched: u64,
     /// Blocks appended to the write-ahead log.
     pub wal_appends: u64,

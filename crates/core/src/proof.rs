@@ -3,13 +3,12 @@
 
 use std::sync::Arc;
 
-use cole_bloom::BloomFilter;
-use cole_hash::{hash_entry, hash_pair, sha256, Sha256};
+use cole_hash::{hash_entry, hash_pair, Sha256};
 use cole_mbtree::MbProof;
 use cole_mht::RangeProof;
 use cole_primitives::{
-    Address, ColeError, CompoundKey, Digest, Result, StateValue, VersionedValue, COMPOUND_KEY_LEN,
-    DIGEST_LEN, VALUE_LEN,
+    check_claim, Address, ColeError, CompoundKey, Digest, Result, StateValue, VersionedValue,
+    COMPOUND_KEY_LEN, DIGEST_LEN, VALUE_LEN,
 };
 
 /// Tag identifying the kind of an entry of `root_hash_list`.
@@ -75,12 +74,17 @@ pub enum ComponentProof {
         /// commitment).
         bloom_digest: Digest,
     },
-    /// A run skipped because its Bloom filter excludes the queried address;
-    /// the whole filter is disclosed so the verifier can check the exclusion
-    /// (footnote 1 of the paper).
+    /// A run skipped because its Bloom filter excludes the queried address,
+    /// with the whole filter disclosed (footnote 1 of the paper).
+    ///
+    /// Neither produced nor accepted: the engine proves absence with a
+    /// [`RunSearched`](Self::RunSearched) bracket instead, which is a few
+    /// hundred bytes where a filter is up to tens of KB (see the `read`
+    /// module), and [`ColeProof::verify`] returns `Ok(false)` for a proof
+    /// that carries one. The variant and its encoding (tag 3) stay so that
+    /// such a proof still decodes and can be reported as rejected.
     RunBloomNegative {
-        /// Serialized Bloom filter, shared with the run that produced it
-        /// (building the proof never copies the filter bytes).
+        /// The run's serialized Bloom filter.
         bloom: Arc<[u8]>,
         /// Root digest of the run's Merkle file.
         merkle_root: Digest,
@@ -156,7 +160,7 @@ impl ColeProof {
                         ));
                     }
                     let (first, last) = merkle_proof.range();
-                    if last - first + 1 != entries.len() as u64 {
+                    if last.checked_sub(first) != Some(entries.len() as u64 - 1) {
                         return Ok(false);
                     }
                     let leaves: Vec<Digest> =
@@ -174,7 +178,8 @@ impl ColeProof {
                     // reached the run's end, the last entry must lie beyond
                     // the upper search key.
                     let num_leaves = merkle_proof.num_leaves();
-                    if last + 1 < num_leaves && entries[entries.len() - 1].0 <= upper {
+                    if last.saturating_add(1) < num_leaves && entries[entries.len() - 1].0 <= upper
+                    {
                         return Ok(false);
                     }
                     for (k, _) in entries {
@@ -184,16 +189,9 @@ impl ColeProof {
                     }
                     collected.extend(entries.iter().copied());
                 }
-                ComponentProof::RunBloomNegative { bloom, merkle_root } => {
-                    // Decoding is strict and canonical (`from_bytes(b)?` always
-                    // re-serializes to `b`), so the digest the run committed
-                    // to is the digest of the bytes as received.
-                    if BloomFilter::from_bytes(bloom)?.contains(&addr) {
-                        return Ok(false);
-                    }
-                    root_hash_list
-                        .push((RootEntryKind::Run, hash_pair(merkle_root, &sha256(bloom))));
-                }
+                // No engine emits a disclosed filter, so a proof that carries
+                // one is rejected without parsing the server's filter bytes.
+                ComponentProof::RunBloomNegative { .. } => return Ok(false),
                 ComponentProof::RunUnsearched { commitment } => {
                     if !early_stop_justified {
                         return Ok(false);
@@ -285,12 +283,8 @@ impl ColeProof {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut pos = 0usize;
         let count = take_u32(bytes, &mut pos)? as usize;
-        if count > 1 << 20 {
-            return Err(ColeError::InvalidEncoding(
-                "unreasonable COLE proof component count".into(),
-            ));
-        }
-        let mut components = Vec::with_capacity(count);
+        // The smallest component is a tag plus a 4-byte length.
+        let mut components = Vec::with_capacity(check_claim(count, bytes.len() - pos, 5)?);
         for _ in 0..count {
             let tag = *bytes
                 .get(pos)
@@ -307,12 +301,9 @@ impl ColeProof {
                 },
                 2 => {
                     let n = take_u32(bytes, &mut pos)? as usize;
-                    if n > 1 << 24 {
-                        return Err(ColeError::InvalidEncoding(
-                            "unreasonable run proof entry count".into(),
-                        ));
-                    }
-                    let mut entries = Vec::with_capacity(n);
+                    let entry_len = COMPOUND_KEY_LEN + VALUE_LEN;
+                    let mut entries =
+                        Vec::with_capacity(check_claim(n, bytes.len() - pos, entry_len)?);
                     for _ in 0..n {
                         let key =
                             CompoundKey::from_bytes(take(bytes, &mut pos, COMPOUND_KEY_LEN)?)?;
@@ -406,11 +397,7 @@ mod tests {
                     commitment: Digest::new([9u8; 32]),
                 },
                 ComponentProof::RunBloomNegative {
-                    bloom: {
-                        let mut f = BloomFilter::with_capacity(10, 0.01);
-                        f.insert(&Address::from_low_u64(1));
-                        f.to_bytes().into()
-                    },
+                    bloom: vec![5u8; 24].into(),
                     merkle_root: Digest::new([3u8; 32]),
                 },
             ],

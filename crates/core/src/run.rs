@@ -433,11 +433,11 @@ impl RunBuilder {
         let (mut index, mut merkle) = self.side.finish()?;
         attach_run_io(&self.ctx, &mut value_file, &mut index, &mut merkle);
         self.ctx.kill("run:files_synced")?;
-        let bloom_ser: Arc<[u8]> = self.bloom.to_bytes().into();
+        let bloom_ser = self.bloom.to_bytes();
         write_durable(bloom_path(&self.dir, self.id), &bloom_ser)?;
         self.ctx.kill("run:bloom_written")?;
 
-        let bloom = RunBloom::loaded(bloom_path(&self.dir, self.id), self.bloom, bloom_ser);
+        let bloom = RunBloom::loaded(bloom_path(&self.dir, self.id), self.bloom, &bloom_ser);
         let meta = RunMeta {
             id: self.id,
             num_entries: self.count,
@@ -628,10 +628,11 @@ impl RunMeta {
 /// A run's Bloom filter, decoded lazily on reopened runs.
 ///
 /// The digest (which feeds the run commitment) comes from the v2 metadata,
-/// so [`Run::open`] only *stats* the filter file; the first query that needs
-/// the bits — a [`may_contain`](Run::may_contain) membership probe or a
-/// proof of absence — reads and decodes it once, verifying the bytes against
-/// the trusted digest. Built runs start fully loaded.
+/// so [`Run::open`] only *stats* the filter file; the first
+/// [`may_contain`](Run::may_contain) membership probe reads and decodes it
+/// once, verifying the bytes against the trusted digest. Only the decoded
+/// filter is kept — nothing serves the serialized bytes. Built runs start
+/// fully loaded.
 #[derive(Debug)]
 struct RunBloom {
     path: PathBuf,
@@ -640,19 +641,18 @@ struct RunBloom {
     /// Size of the filter's bit array (file length minus the 24-byte
     /// header), known without loading.
     size_bytes: u64,
-    /// The decoded filter and its serialized bytes, populated at build time
-    /// or on first use.
-    cell: OnceLock<(BloomFilter, Arc<[u8]>)>,
+    /// The decoded filter, populated at build time or on first use.
+    cell: OnceLock<BloomFilter>,
 }
 
 impl RunBloom {
     /// A filter already in memory (freshly built, or eagerly loaded for v1
-    /// metadata).
-    fn loaded(path: PathBuf, filter: BloomFilter, ser: Arc<[u8]>) -> Self {
-        let digest = sha256(&ser);
+    /// metadata); `ser` is its serialization, hashed for the digest.
+    fn loaded(path: PathBuf, filter: BloomFilter, ser: &[u8]) -> Self {
+        let digest = sha256(ser);
         let size_bytes = (ser.len() as u64).saturating_sub(24);
         let cell = OnceLock::new();
-        cell.set((filter, ser)).expect("fresh cell");
+        cell.set(filter).expect("fresh cell");
         RunBloom {
             path,
             digest,
@@ -671,10 +671,9 @@ impl RunBloom {
         }
     }
 
-    /// The decoded filter and serialized bytes, loading them on first use.
-    /// Concurrent first uses may both read the file; exactly one decode
-    /// wins the cell.
-    fn get(&self) -> Result<&(BloomFilter, Arc<[u8]>)> {
+    /// The decoded filter, loading it on first use. Concurrent first uses
+    /// may both read the file; exactly one decode wins the cell.
+    fn get(&self) -> Result<&BloomFilter> {
         if let Some(loaded) = self.cell.get() {
             return Ok(loaded);
         }
@@ -691,7 +690,7 @@ impl RunBloom {
             )));
         }
         let filter = BloomFilter::from_bytes(&bytes)?;
-        let _ = self.cell.set((filter, bytes.into()));
+        let _ = self.cell.set(filter);
         Ok(self.cell.get().expect("just set"))
     }
 }
@@ -911,12 +910,11 @@ impl Run {
             }
             None => {
                 // v1 metadata: no trusted digest, load eagerly as before.
-                let ser: Arc<[u8]> = std::fs::read(&path)
+                let ser = std::fs::read(&path)
                     .map_err(ColeError::from)
-                    .map_err(context("bloom", &path))?
-                    .into();
+                    .map_err(context("bloom", &path))?;
                 let filter = BloomFilter::from_bytes(&ser).map_err(context("bloom", &path))?;
-                RunBloom::loaded(path, filter, ser)
+                RunBloom::loaded(path, filter, &ser)
             }
         };
         Run::assemble(dir.to_path_buf(), meta, value_file, index, merkle, bloom)
@@ -953,18 +951,6 @@ impl Run {
         self.bloom.digest
     }
 
-    /// Serialized Bloom filter (used in proofs of absence). The buffer is
-    /// shared — loaded once per run, handed out by `Arc` clone, so a
-    /// provenance query never re-serializes or copies the filter.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a lazily-deferred filter cannot be loaded or
-    /// fails its digest check.
-    pub fn bloom_bytes(&self) -> Result<Arc<[u8]>> {
-        Ok(Arc::clone(&self.bloom.get()?.1))
-    }
-
     /// Returns `true` if the Bloom filter admits that `addr` may be
     /// present, loading the filter on first use.
     ///
@@ -973,7 +959,7 @@ impl Run {
     /// Returns an error if a lazily-deferred filter cannot be loaded or
     /// fails its digest check.
     pub fn may_contain(&self, addr: &Address) -> Result<bool> {
-        Ok(self.bloom.get()?.0.contains(addr))
+        Ok(self.bloom.get()?.contains(addr))
     }
 
     /// Returns `true` if the Bloom filter has been decoded (at build time,
@@ -1460,11 +1446,12 @@ mod tests {
         );
         // The commitment is available without the filter bits.
         assert_eq!(reopened.commitment(), commitment);
-        // First membership probe loads and verifies the filter.
+        // First membership probe loads the filter, checked against the
+        // digest the metadata committed to (that of the file bytes).
         assert!(reopened.may_contain(&Address::from_low_u64(3)).unwrap());
         assert!(reopened.bloom_loaded());
         assert_eq!(
-            sha256(&reopened.bloom_bytes().unwrap()),
+            sha256(&std::fs::read(dir.join("run_00000001.blm")).unwrap()),
             reopened.bloom_digest()
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -2,7 +2,8 @@
 
 use cole_hash::Sha256;
 use cole_primitives::{
-    ColeError, CompoundKey, Digest, Result, StateValue, COMPOUND_KEY_LEN, DIGEST_LEN, VALUE_LEN,
+    check_claim, ColeError, CompoundKey, Digest, Result, StateValue, COMPOUND_KEY_LEN, DIGEST_LEN,
+    VALUE_LEN,
 };
 
 /// Tag bytes distinguishing node kinds inside digests and serializations.
@@ -281,11 +282,7 @@ impl MbProof {
             }
             TAG_LEAF => {
                 let n = take_u32(bytes, pos)? as usize;
-                if n > 1 << 20 {
-                    return Err(ColeError::InvalidEncoding(
-                        "unreasonable MB-tree leaf size".into(),
-                    ));
-                }
+                check_claim(n, bytes.len() - *pos, COMPOUND_KEY_LEN + VALUE_LEN)?;
                 let mut keys = Vec::with_capacity(n);
                 let mut values = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -302,11 +299,9 @@ impl MbProof {
             }
             TAG_INTERNAL => {
                 let n = take_u32(bytes, pos)? as usize;
-                if n > 1 << 16 {
-                    return Err(ColeError::InvalidEncoding(
-                        "unreasonable MB-tree node fanout".into(),
-                    ));
-                }
+                // n keys, then n + 1 children of at least a tag and a
+                // 4-byte count each.
+                check_claim(n, bytes.len() - *pos, COMPOUND_KEY_LEN + 5)?;
                 let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
                     keys.push(CompoundKey::from_bytes(take(

@@ -34,8 +34,9 @@ impl MhtLayout {
     ///
     /// # Errors
     ///
-    /// Returns [`ColeError::InvalidConfig`] if `num_leaves` is zero or
-    /// `fanout` is less than two.
+    /// Returns [`ColeError::InvalidConfig`] if `num_leaves` is zero,
+    /// `fanout` is less than two, or the tree's node count overflows `u64`
+    /// (only a hostile proof claims such a shape).
     pub fn new(num_leaves: u64, fanout: u64) -> Result<Self> {
         if num_leaves == 0 {
             return Err(ColeError::InvalidConfig(
@@ -57,7 +58,9 @@ impl MhtLayout {
         let mut offset = 0u64;
         for &s in &layer_sizes {
             layer_offsets.push(offset);
-            offset += s;
+            offset = offset.checked_add(s).ok_or_else(|| {
+                ColeError::InvalidConfig("merkle tree node count overflows u64".into())
+            })?;
         }
         Ok(MhtLayout {
             num_leaves,

@@ -1,7 +1,7 @@
 //! Self-contained, serializable Merkle range proofs.
 
 use cole_hash::hash_digests;
-use cole_primitives::{ColeError, Digest, Result, DIGEST_LEN};
+use cole_primitives::{check_claim, ColeError, Digest, Result, DIGEST_LEN};
 
 use crate::layout::MhtLayout;
 
@@ -103,7 +103,7 @@ impl RangeProof {
                 ));
             }
             let group_lo = (lo / m) * m;
-            let group_hi = (((hi / m) + 1) * m).min(layer_size);
+            let group_hi = ((hi / m) + 1).saturating_mul(m).min(layer_size);
             if siblings.left.len() as u64 != lo - group_lo
                 || siblings.right.len() as u64 != group_hi - hi - 1
             {
@@ -158,6 +158,11 @@ impl RangeProof {
 
     /// Deserializes a proof produced by [`RangeProof::to_bytes`].
     ///
+    /// The bytes are untrusted (a proof arrives from a server), so the
+    /// decoder rejects a shape no honest tree has — `first > last`,
+    /// `last >= num_leaves`, `fanout < 2` — and never reserves more
+    /// siblings than the remaining bytes can hold.
+    ///
     /// # Errors
     ///
     /// Returns [`ColeError::InvalidEncoding`] if the byte string is malformed.
@@ -167,6 +172,12 @@ impl RangeProof {
         let fanout = cursor.u64()?;
         let first = cursor.u64()?;
         let last = cursor.u64()?;
+        if first > last || last >= num_leaves || fanout < 2 {
+            return Err(ColeError::InvalidEncoding(format!(
+                "merkle proof range [{first}, {last}] of {num_leaves} leaves \
+                 with fanout {fanout} is not a valid shape"
+            )));
+        }
         let num_layers = cursor.u32()? as usize;
         if num_layers > 256 {
             return Err(ColeError::InvalidEncoding(
@@ -177,14 +188,8 @@ impl RangeProof {
         for _ in 0..num_layers {
             let left_len = cursor.u32()? as usize;
             let right_len = cursor.u32()? as usize;
-            let mut left = Vec::with_capacity(left_len);
-            for _ in 0..left_len {
-                left.push(cursor.digest()?);
-            }
-            let mut right = Vec::with_capacity(right_len);
-            for _ in 0..right_len {
-                right.push(cursor.digest()?);
-            }
+            let left = cursor.digests(left_len)?;
+            let right = cursor.digests(right_len)?;
             layers.push(LayerSiblings { left, right });
         }
         Ok(RangeProof {
@@ -229,6 +234,16 @@ impl Cursor<'_> {
         let mut buf = [0u8; DIGEST_LEN];
         buf.copy_from_slice(self.take(DIGEST_LEN)?);
         Ok(Digest::new(buf))
+    }
+
+    /// `n` digests, rejected before anything is reserved if the remaining
+    /// bytes cannot hold them (`n` comes straight off the wire).
+    fn digests(&mut self, n: usize) -> Result<Vec<Digest>> {
+        let mut out = Vec::with_capacity(check_claim(n, self.bytes.len() - self.pos, DIGEST_LEN)?);
+        for _ in 0..n {
+            out.push(self.digest()?);
+        }
+        Ok(out)
     }
 }
 
@@ -287,6 +302,30 @@ mod tests {
         // Structural rejection (an error) is also fine.
         if let Ok(r) = forged.compute_root(&leaves[5..=9]) {
             assert_ne!(r, root);
+        }
+    }
+
+    #[test]
+    fn shapes_no_honest_tree_has_are_rejected_at_decode() {
+        let (_, _, proof) = build_proof(16, 2, 5, 9);
+        for (num_leaves, fanout, first, last) in [
+            (16, 2, 9, 5),  // first > last
+            (16, 2, 5, 16), // last >= num_leaves
+            (0, 2, 0, 0),   // no leaves at all
+            (16, 1, 5, 9),  // fanout < 2
+            (16, 0, 5, 9),
+        ] {
+            let forged = RangeProof {
+                num_leaves,
+                fanout,
+                first,
+                last,
+                ..proof.clone()
+            };
+            assert!(
+                RangeProof::from_bytes(&forged.to_bytes()).is_err(),
+                "[{first}, {last}] of {num_leaves}, fanout {fanout}"
+            );
         }
     }
 

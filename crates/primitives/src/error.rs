@@ -52,6 +52,28 @@ impl From<io::Error> for ColeError {
 /// A convenient alias for `Result<T, ColeError>`.
 pub type Result<T> = std::result::Result<T, ColeError>;
 
+/// Returns `n`, an element count read off the wire, if `remaining` bytes can
+/// hold `n` elements of at least `elem_len` bytes each.
+///
+/// Every decoder reserves capacity for a length-prefixed sequence through
+/// this check, so a forged count fails before it allocates.
+///
+/// # Errors
+///
+/// Returns [`ColeError::InvalidEncoding`] if the count cannot fit.
+///
+/// # Panics
+///
+/// Panics if `elem_len` is zero (a caller bug, never wire data).
+pub fn check_claim(n: usize, remaining: usize, elem_len: usize) -> Result<usize> {
+    if n > remaining / elem_len {
+        return Err(ColeError::InvalidEncoding(format!(
+            "claims {n} elements of {elem_len} bytes but {remaining} bytes remain"
+        )));
+    }
+    Ok(n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,6 +91,14 @@ mod tests {
         let io_err = io::Error::other("boom");
         let e: ColeError = io_err.into();
         assert!(std::error::Error::source(&e).is_some());
+    }
+
+    #[test]
+    fn claims_the_remaining_bytes_cannot_hold_are_rejected() {
+        assert_eq!(check_claim(3, 96, 32).unwrap(), 3);
+        assert_eq!(check_claim(0, 0, 32).unwrap(), 0);
+        assert!(check_claim(4, 127, 32).is_err());
+        assert!(check_claim(u32::MAX as usize, 44, 32).is_err());
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use constants::{
     MODEL_LEN, PAGE_SIZE, VALUE_LEN,
 };
 pub use digest::Digest;
-pub use error::{ColeError, Result};
+pub use error::{check_claim, ColeError, Result};
 pub use interface::{AuthenticatedStorage, ProvenanceResult, StorageStats};
 pub use key::{CompoundKey, VersionedValue};
 pub use num::KeyNum;

@@ -22,7 +22,8 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 
 fn config() -> ColeConfig {
     // Small memtable so the data actually reaches disk runs: served proofs
-    // then cover memtables, Bloom negatives, and Merkle range proofs.
+    // then cover memtables and Merkle range proofs, for present and absent
+    // addresses alike.
     ColeConfig::default().with_memtable_capacity(64)
 }
 

@@ -213,7 +213,7 @@ where
     const BLOCKS: u64 = 60;
     let hot = Address::from_low_u64(7); // rewritten every block: early stops
     let cold = Address::from_low_u64(10); // written in block 1 only: on disk
-    let ghost = Address::from_low_u64(0xdead_beef); // never written: Bloom-negative
+    let ghost = Address::from_low_u64(0xdead_beef); // never written: absence by search
     let mut kinds = std::collections::BTreeSet::new();
     let mut max_mem_components = 0usize;
     for height in 1..=BLOCKS {
@@ -266,10 +266,18 @@ where
 /// the same value and `prov_query` with the same proof bytes, at every
 /// block boundary of a run that flushes, merges and (COLE*) keeps a sealed
 /// memtable group in flight — for present, absent, early-stopping and
-/// Bloom-negative addresses, with one and with four memtable shards.
+/// never-written addresses, with one and with four memtable shards. Every
+/// run is either searched or cut off by the early stop: absence is proven
+/// by a searched Merkle range, never by disclosing a Bloom filter.
 #[test]
 fn live_engine_and_snapshot_answer_identically() {
-    let all_run_kinds = ["run-bloom-negative", "run-searched", "run-unsearched"];
+    let all_run_kinds = ["run-searched", "run-unsearched"];
+    let assert_no_disclosure = |kinds: &std::collections::BTreeSet<&str>, engine: &str| {
+        assert!(
+            !kinds.contains("run-bloom-negative"),
+            "{engine}: a proof disclosed a Bloom filter"
+        );
+    };
     for shards in [1usize, 4] {
         let config = ColeConfig::default()
             .with_memtable_capacity(32)
@@ -282,6 +290,7 @@ fn live_engine_and_snapshot_answer_identically() {
         for kind in all_run_kinds.iter().chain(&["mem-searched"]) {
             assert!(kinds.contains(kind), "COLE/{shards}: no {kind} component");
         }
+        assert_no_disclosure(&kinds, &format!("COLE/{shards}"));
         std::fs::remove_dir_all(&dir).ok();
 
         let dir = tmpdir(&format!("live-snap-async-{shards}"));
@@ -297,6 +306,7 @@ fn live_engine_and_snapshot_answer_identically() {
         {
             assert!(kinds.contains(kind), "COLE*/{shards}: no {kind} component");
         }
+        assert_no_disclosure(&kinds, &format!("COLE*/{shards}"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

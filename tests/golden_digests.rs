@@ -2,7 +2,8 @@
 //! state roots and this proof encoding, forever.
 //!
 //! Every constant below was captured on the commit *before* the SHA-NI
-//! kernel landed (scalar SHA-256 only). `Hstate` is what blockchain nodes
+//! kernel landed (scalar SHA-256 only), except `GHOST_PROOF`, whose proof
+//! shape changed on purpose (see its doc). `Hstate` is what blockchain nodes
 //! agree on, so a hashing, Bloom, Merkle or proof-encoding change that moves
 //! one of these is a consensus change and must be made on purpose — never
 //! as the side effect of a faster kernel.
@@ -20,11 +21,16 @@ const HOT_PROOF: (usize, &str) = (
     3177,
     "0x1cd2249cfa6008fff5a33d0ae01a2aa6e87362868f1b2689bab6b12f652d7931",
 );
-/// Provenance of an address never written: every run discloses its Bloom
-/// filter, so this pins the filter serialization too.
+/// Provenance of an address never written: every run proves the absence
+/// with a searched Merkle range (the bracketing entries), not by disclosing
+/// its Bloom filter. Re-captured when that change landed (1 797 → 2 457 B):
+/// this toy chain's 32-entry runs have filters smaller than a range proof,
+/// unlike real runs, whose filters run to tens of KB. The filter
+/// serialization is still pinned — by `Hstate`, through each run's
+/// commitment.
 const GHOST_PROOF: (usize, &str) = (
-    1797,
-    "0xb3476071e89171f327701347eba7aed770be5551efe87d0743eed6a7676044f1",
+    2457,
+    "0xb08fe4de4e598dd8abfe4a4153a62b2a6c4c7f51307150ae07674b21b37decf5",
 );
 
 const ACCOUNTS: u64 = 64;

@@ -4,6 +4,8 @@
 //! noticing.
 
 use cole::cole_core::{ColeProof, ComponentProof};
+use cole::cole_hash::{hash_entry, sha256};
+use cole::cole_mht::RangeProof;
 use cole::prelude::*;
 use cole_workloads::{execute_block, Block, Transaction};
 
@@ -147,10 +149,17 @@ fn proof_for_old_state_root_fails_after_new_blocks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `verify_prov` on a forged proof must come back with `Err` or `Ok(false)`.
-fn assert_rejected(store: &Cole, addr: Address, forged: &ColeProof, hstate: Digest) {
+/// `verify_prov` of a forged proof claiming `values` for `addr` in
+/// `[10, 30]` must come back with `Err` or `Ok(false)`.
+fn assert_rejected(
+    store: &Cole,
+    addr: Address,
+    values: &[VersionedValue],
+    forged: &ColeProof,
+    hstate: Digest,
+) {
     let forged = ProvenanceResult {
-        values: Vec::new(),
+        values: values.to_vec(),
         proof: forged.to_bytes(),
     };
     if let Ok(ok) = store.verify_prov(addr, 10, 30, &forged, hstate) {
@@ -162,50 +171,340 @@ fn assert_rejected(store: &Cole, addr: Address, forged: &ColeProof, hstate: Dige
 fn forged_bloom_disclosures_are_rejected_without_panicking() {
     let dir = tmpdir("forged-bloom");
     let (store, _, hstate) = build_store(&dir);
-    // An address no run contains: the honest proof discloses run filters.
+    // An address no run contains: the engine proves its absence by search
+    // and never discloses a filter.
     let ghost = Address::from_low_u64(0xdead_beef);
     let result = store.prov_query(ghost, 10, 30).unwrap();
     assert!(store.verify_prov(ghost, 10, 30, &result, hstate).unwrap());
     let honest = ColeProof::from_bytes(&result.proof).unwrap();
-    let disclosed = honest
+    let (index, merkle_root, bloom_digest) = honest
         .components
         .iter()
-        .position(|c| matches!(c, ComponentProof::RunBloomNegative { .. }))
-        .expect("a run is skipped by its filter");
-    let replace_bloom = |bytes: Vec<u8>| {
-        let mut forged = honest.clone();
-        if let ComponentProof::RunBloomNegative { bloom, .. } = &mut forged.components[disclosed] {
-            *bloom = bytes.into();
-        }
-        forged
-    };
-    let ComponentProof::RunBloomNegative { bloom, .. } = &honest.components[disclosed] else {
-        unreachable!()
-    };
+        .enumerate()
+        .find_map(|(index, component)| match component {
+            ComponentProof::RunSearched {
+                entries,
+                merkle_proof,
+                bloom_digest,
+            } => {
+                let leaves: Vec<Digest> = entries.iter().map(|(k, v)| hash_entry(k, v)).collect();
+                Some((
+                    index,
+                    merkle_proof.compute_root(&leaves).unwrap(),
+                    *bloom_digest,
+                ))
+            }
+            _ => None,
+        })
+        .expect("a run was searched");
+    // The searched run's own filter, read from its `.blm` file.
+    let filter = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "blm"))
+        .map(|path| std::fs::read(path).unwrap())
+        .find(|bytes| sha256(bytes) == bloom_digest)
+        .expect("every searched run's filter is on disk");
 
-    // A header-only filter with zero bits and one hash function: probing it
-    // used to divide by zero inside the *client*.
+    // The paper's proof of absence (footnote 1, tag 3) in place of the
+    // searched bracket: the true filter under the true Merkle root, and a
+    // header-only filter with zero bits that used to divide by zero inside
+    // the client. Neither is accepted, and neither filter is parsed.
     let mut zero_bits = vec![0u8; 24];
     zero_bits[8] = 1;
-    assert_rejected(&store, ghost, &replace_bloom(zero_bits), hstate);
-
-    // The honest filter with only the upper half of `num_hashes` changed:
-    // used to decode to the very same filter.
-    let mut upper_bits = bloom.to_vec();
-    upper_bits[12] = 1;
-    assert_rejected(&store, ghost, &replace_bloom(upper_bits), hstate);
-
-    // More hash functions than any honest filter has.
-    let mut many_hashes = bloom.to_vec();
-    many_hashes[8] = 200;
-    assert_rejected(&store, ghost, &replace_bloom(many_hashes), hstate);
-
-    // An all-zero filter of the honest size excludes everything, but it is
-    // not the filter the run committed to.
-    let mut emptied = bloom.to_vec();
-    emptied[24..].fill(0);
-    assert_rejected(&store, ghost, &replace_bloom(emptied), hstate);
+    for bloom in [filter, zero_bits] {
+        let mut disclosed = honest.clone();
+        disclosed.components[index] = ComponentProof::RunBloomNegative {
+            bloom: bloom.into(),
+            merkle_root,
+        };
+        let forged = ProvenanceResult {
+            values: Vec::new(),
+            proof: disclosed.to_bytes(),
+        };
+        assert!(!store.verify_prov(ghost, 10, 30, &forged, hstate).unwrap());
+    }
 
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `proof` re-encoded with its shape fields rewritten, as a forger would:
+/// the verifier must not trust any of them.
+fn reshaped(proof: &RangeProof, num_leaves: u64, first: u64, last: u64) -> RangeProof {
+    let mut bytes = proof.to_bytes();
+    bytes[..8].copy_from_slice(&num_leaves.to_le_bytes());
+    bytes[16..24].copy_from_slice(&first.to_le_bytes());
+    bytes[24..32].copy_from_slice(&last.to_le_bytes());
+    RangeProof::from_bytes(&bytes).unwrap()
+}
+
+#[test]
+fn absence_by_search_forgeries_are_rejected() {
+    let dir = tmpdir("forged-search");
+    let (store, target, hstate) = build_store(&dir);
+
+    // A bracket that does not straddle the queried range. `gap` sorts
+    // between `target` and the 1000+ addresses, so its honest brackets
+    // prove its absence; a Merkle-valid bracket of another address from the
+    // same run, lying wholly above `gap`'s range, must not.
+    let gap = Address::from_low_u64(500);
+    let upper = CompoundKey::new(gap, 31);
+    let honest_gap = store.prov_query(gap, 10, 30).unwrap();
+    assert!(store.verify_prov(gap, 10, 30, &honest_gap, hstate).unwrap());
+    let honest_gap = ColeProof::from_bytes(&honest_gap.proof).unwrap();
+    let mut spliced = 0;
+    for height in (1..=60u64).step_by(3) {
+        let other = store
+            .prov_query(Address::from_low_u64(1000 + height), 1, 60)
+            .unwrap();
+        let other = ColeProof::from_bytes(&other.proof).unwrap();
+        for (index, component) in other.components.iter().enumerate() {
+            let ComponentProof::RunSearched {
+                entries,
+                merkle_proof,
+                ..
+            } = component
+            else {
+                continue;
+            };
+            let above = merkle_proof.range().0 > 0 && entries[0].0 > upper;
+            if !above
+                || !matches!(
+                    honest_gap.components[index],
+                    ComponentProof::RunSearched { .. }
+                )
+            {
+                continue;
+            }
+            let mut forged = honest_gap.clone();
+            forged.components[index] = component.clone();
+            assert_rejected(&store, gap, &[], &forged, hstate);
+            spliced += 1;
+        }
+    }
+    assert!(spliced > 0, "no bracket lay wholly above the gap");
+
+    // The two remaining forgeries hide versions of `target` held by one
+    // searched run.
+    let result = store.prov_query(target, 10, 30).unwrap();
+    let honest = ColeProof::from_bytes(&result.proof).unwrap();
+    let in_range = |k: &CompoundKey| k.address() == target && (10..=30).contains(&k.block_height());
+    let (index, entries, merkle_proof) = honest
+        .components
+        .iter()
+        .enumerate()
+        .find_map(|(index, component)| match component {
+            ComponentProof::RunSearched {
+                entries,
+                merkle_proof,
+                ..
+            } if entries.len() >= 3 && entries[1..].iter().any(|(k, _)| in_range(k)) => {
+                Some((index, entries, merkle_proof))
+            }
+            _ => None,
+        })
+        .expect("a run holds versions of the target in range");
+    let (first, _) = merkle_proof.range();
+    let with_run = |kept: &[(CompoundKey, StateValue)], merkle_proof: RangeProof| {
+        let mut forged = honest.clone();
+        let ComponentProof::RunSearched { bloom_digest, .. } = honest.components[index] else {
+            unreachable!()
+        };
+        forged.components[index] = ComponentProof::RunSearched {
+            entries: kept.to_vec(),
+            merkle_proof,
+            bloom_digest,
+        };
+        // The claimed answer leaves out exactly what the forgery hides.
+        let hidden: Vec<u64> = entries
+            .iter()
+            .filter(|(k, _)| in_range(k) && !kept.iter().any(|(kk, _)| kk == k))
+            .map(|(k, _)| k.block_height())
+            .collect();
+        assert!(!hidden.is_empty());
+        let claimed: Vec<VersionedValue> = result
+            .values
+            .iter()
+            .filter(|v| !hidden.contains(&v.block_height))
+            .copied()
+            .collect();
+        (forged, claimed)
+    };
+
+    // A present version hidden by proving its two neighbours as if they
+    // were adjacent.
+    let neighbours = [entries[0], entries[entries.len() - 1]];
+    let (forged, claimed) = with_run(
+        &neighbours,
+        reshaped(merkle_proof, merkle_proof.num_leaves(), first, first + 1),
+    );
+    assert_rejected(&store, target, &claimed, &forged, hstate);
+
+    // A forged `num_leaves` claiming the run ended right after the oldest
+    // version in range, which waives the right-boundary check.
+    let (forged, claimed) = with_run(
+        &entries[..2],
+        reshaped(merkle_proof, first + 2, first, first + 1),
+    );
+    assert_rejected(&store, target, &claimed, &forged, hstate);
+
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hand-encoded `RangeProof`: the shape header, then per layer the
+/// `(left, right)` sibling counts followed by that many zero digests.
+fn merkle_bytes(
+    num_leaves: u64,
+    fanout: u64,
+    first: u64,
+    last: u64,
+    layers: &[(u32, u32)],
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    for field in [num_leaves, fanout, first, last] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.extend_from_slice(&(layers.len() as u32).to_le_bytes());
+    for &(left, right) in layers {
+        out.extend_from_slice(&left.to_le_bytes());
+        out.extend_from_slice(&right.to_le_bytes());
+        out.resize(out.len() + 32 * (left + right) as usize, 0);
+    }
+    out
+}
+
+/// A hand-encoded one-component `ColeProof`: a searched run holding one
+/// entry, proven by `merkle` (raw `RangeProof` bytes).
+fn searched_run_bytes(merkle: &[u8]) -> Vec<u8> {
+    let mut out = 1u32.to_le_bytes().to_vec();
+    out.push(2);
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&CompoundKey::new(Address::from_low_u64(7), 9).to_bytes());
+    out.extend_from_slice(StateValue::from_u64(1).as_bytes());
+    out.extend_from_slice(&(merkle.len() as u32).to_le_bytes());
+    out.extend_from_slice(merkle);
+    out.extend_from_slice(&[0u8; 32]);
+    out
+}
+
+#[test]
+fn malformed_merkle_shapes_are_rejected_without_panicking() {
+    let dir = tmpdir("merkle-shapes");
+    let (store, target, hstate) = build_store(&dir);
+    let check = |merkle: Vec<u8>| {
+        let forged = ProvenanceResult {
+            values: Vec::new(),
+            proof: searched_run_bytes(&merkle),
+        };
+        if let Ok(ok) = store.verify_prov(target, 10, 30, &forged, hstate) {
+            assert!(!ok);
+        }
+        RangeProof::from_bytes(&merkle)
+    };
+    // Shapes no honest tree has are refused by the decoder. `first > last`
+    // used to underflow inside the verifier.
+    for (num_leaves, fanout, first, last) in
+        [(8, 2, 3, 2), (4, 2, 0, 4), (4, 0, 0, 0), (4, 1, 0, 0)]
+    {
+        let decoded = check(merkle_bytes(num_leaves, fanout, first, last, &[]));
+        assert!(
+            decoded.is_err(),
+            "[{first}, {last}] of {num_leaves} leaves, fanout {fanout}"
+        );
+    }
+    // Shapes that decode but whose arithmetic used to overflow: a tree
+    // whose node count does not fit in u64, and a fanout so wide that the
+    // boundary group's end does not either.
+    let wide = (1u64 << 63) + 1;
+    for merkle in [
+        merkle_bytes(u64::MAX, 2, 0, 0, &[]),
+        merkle_bytes(wide + 1, wide, wide, wide, &[(0, 0), (1, 0)]),
+    ] {
+        assert!(check(merkle).is_ok());
+    }
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Proofs whose length fields claim far more elements than their bytes can
+/// hold. Each used to reserve memory for the claim before failing: 137 GB
+/// (an abort) for the sibling count, ≈ 1 GB, ≈ 100 MB and 64 MB for the
+/// others.
+fn oversized_length_claims() -> Vec<(&'static str, Vec<u8>)> {
+    let mut siblings = merkle_bytes(4, 2, 0, 0, &[]);
+    siblings[32..36].copy_from_slice(&1u32.to_le_bytes());
+    siblings.extend_from_slice(&u32::MAX.to_le_bytes());
+    siblings.extend_from_slice(&0u32.to_le_bytes());
+    assert_eq!(siblings.len(), 44);
+
+    let mut entries = 1u32.to_le_bytes().to_vec();
+    entries.push(2);
+    entries.extend_from_slice(&(1u32 << 24).to_le_bytes());
+
+    let mut leaf = 1u32.to_le_bytes().to_vec();
+    leaf.push(0);
+    leaf.extend_from_slice(&5u32.to_le_bytes());
+    leaf.push(0);
+    leaf.extend_from_slice(&(1u32 << 20).to_le_bytes());
+
+    vec![
+        ("merkle sibling count", searched_run_bytes(&siblings)),
+        ("run entry count", entries),
+        ("component count", (1u32 << 20).to_le_bytes().to_vec()),
+        ("MB-tree leaf size", leaf),
+    ]
+}
+
+/// The process's peak virtual memory size, where the OS reports it.
+fn vm_peak_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmPeak:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+const LENGTH_CLAIMS_CHILD: &str = "decode_oversized_length_claims";
+
+#[test]
+fn length_claims_beyond_the_bytes_are_refused_before_allocating() {
+    // A failed reservation aborts the process, which no test harness can
+    // catch, so the decodes run in a child: this test binary, re-run on the
+    // ignored test below alone.
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            LENGTH_CLAIMS_CHILD,
+            "--exact",
+            "--ignored",
+            "--test-threads=1",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "decoding in a child process failed ({}):\n{}{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+#[ignore = "run alone in a child process by length_claims_beyond_the_bytes_are_refused_before_allocating"]
+fn decode_oversized_length_claims() {
+    let claims = oversized_length_claims();
+    let before = vm_peak_kib();
+    for (what, bytes) in &claims {
+        assert!(ColeProof::from_bytes(bytes).is_err(), "{what}");
+    }
+    // The peak is process-wide, so it says something only when this test
+    // runs alone (as the parent test above runs it).
+    let alone = std::env::args().any(|arg| arg == "--exact");
+    if let (Some(before), Some(after), true) = (before, vm_peak_kib(), alone) {
+        assert!(
+            after - before < 16 * 1024,
+            "decoding reserved {} KiB for forged lengths",
+            after - before
+        );
+    }
 }
