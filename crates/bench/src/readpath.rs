@@ -107,7 +107,7 @@ impl ScanFixture {
             Address::from_low_u64((scan_start + scan_entries) * 7),
             u64::MAX,
         );
-        run.scan_range(&lower, &upper)?; // warm the covered value pages
+        run.range_with_proof(&lower, &upper)?; // warm the covered pages
         Ok(ScanFixture {
             run,
             lower,
@@ -116,7 +116,7 @@ impl ScanFixture {
         })
     }
 
-    /// The pre-PR `scan_range` baseline: one `entry_at` — page fetch plus
+    /// The per-entry scan baseline: one `entry_at` — page fetch plus
     /// single-entry decode — per position.
     ///
     /// # Errors
@@ -136,12 +136,19 @@ impl ScanFixture {
         Ok(entries)
     }
 
-    /// The page-granular scan under test.
+    /// The page-granular scan under test. The run proves its scans in the
+    /// same pass (`Run::range_with_proof`), so this side also pays the
+    /// window's Merkle proof: at most `2(m − 1)` entry rehashes plus the
+    /// cached upper-layer siblings.
     ///
     /// # Errors
     ///
     /// Returns an error if a read fails.
     pub fn scan_page_granular(&self) -> Result<Vec<(CompoundKey, StateValue)>> {
-        Ok(self.run.scan_range(&self.lower, &self.upper)?.entries)
+        Ok(self
+            .run
+            .range_with_proof(&self.lower, &self.upper)?
+            .0
+            .entries)
     }
 }

@@ -33,6 +33,17 @@
 //! disclosed filter any more, the verifier rejects
 //! [`ComponentProof::RunBloomNegative`] without parsing the filter bytes.
 //!
+//! **A searched run is scanned and proven in one pass**
+//! ([`Run::range_with_proof`]). Runs written since the Merkle leaf layer
+//! stopped being stored (run metadata v3) keep only layers 1 and up on
+//! disk: each leaf is `hash_entry` of the value-file entry at its position,
+//! so the at most `m − 1` leaf siblings on each side of the scanned slice
+//! are rehashed from the value pages the scan just decoded, and only the
+//! upper layers are read from the Merkle file. The proof bytes, the root
+//! and the run commitment are those of the stored-leaf tree, so neither
+//! `Hstate` nor the verifier can tell the two kinds of run apart, and
+//! older (v2) runs are proven the same way.
+//!
 //! [`get`]: ReadView::get
 
 use std::sync::Arc;
@@ -203,8 +214,7 @@ impl<'a, R: Iterator<Item = &'a Arc<Run>>> ReadView<'a, R> {
                 // bracket the range, not by disclosing the filter.
                 Component::Run(run) => {
                     Metrics::inc(&metrics.runs_searched);
-                    let scan = run.scan_range(&lower, &upper)?;
-                    let merkle_proof = run.range_proof(scan.first_pos, scan.last_pos)?;
+                    let (scan, merkle_proof) = run.range_with_proof(&lower, &upper)?;
                     early_stop |= reaches_below(&scan.entries, addr, blk_lower);
                     collected.extend(scan.entries.iter().copied());
                     ComponentProof::RunSearched {

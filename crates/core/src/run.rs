@@ -14,10 +14,10 @@ use std::thread::JoinHandle;
 use cole_bloom::BloomFilter;
 use cole_hash::{hash_entry, hash_pair, sha256};
 use cole_learned::{IndexFileBuilder, LearnedIndexFile};
-use cole_mht::{MerkleFile, MerkleFileBuilder, RangeProof};
+use cole_mht::{LeafLayer, MerkleFile, MerkleFileBuilder, RangeProof};
 use cole_primitives::{
-    Address, ColeError, CompoundKey, Digest, KeyNum, Result, StateValue, COMPOUND_KEY_LEN,
-    DIGEST_LEN, ENTRY_LEN, PAGE_SIZE, VALUE_LEN,
+    check_claim, Address, ColeError, CompoundKey, Digest, KeyNum, Result, StateValue,
+    COMPOUND_KEY_LEN, DIGEST_LEN, ENTRY_LEN, PAGE_SIZE, VALUE_LEN,
 };
 use cole_storage::{sync_dir, write_durable, PageCache, PageFile, PageWriter};
 
@@ -282,6 +282,11 @@ fn join_worker<T>(handle: JoinHandle<Result<T>>) -> Result<T> {
 /// order; the value, index and Merkle files and the Bloom filter are built
 /// concurrently (Algorithm 1 lines 5–6, Algorithms 3 and 4).
 ///
+/// The Merkle file is written without its leaf layer
+/// ([`LeafLayer::Derived`]) and the metadata as v3 (see [`RunMeta`]): every
+/// leaf is the hash of the value-file entry at its position, which a proof
+/// recomputes from the value page it reads anyway.
+///
 /// With [`ColeConfig::parallel_run_builds`] (the default) and a run of at
 /// least a thousand entries, the learned index and the Merkle file are built
 /// on two worker threads fed batches of the sorted entry stream, overlapping
@@ -293,6 +298,7 @@ pub struct RunBuilder {
     id: RunId,
     expected_entries: u64,
     mht_fanout: u64,
+    merkle_leaves: LeafLayer,
     value_writer: PageWriter,
     side: SideBuilders,
     bloom: BloomFilter,
@@ -316,6 +322,20 @@ impl RunBuilder {
         config: &ColeConfig,
         ctx: RunContext,
     ) -> Result<Self> {
+        Self::create_with_leaf_layer(dir, id, expected_entries, config, ctx, LeafLayer::Derived)
+    }
+
+    /// [`RunBuilder::create`] with the Merkle file's leaf layer chosen:
+    /// `Stored` writes the v2 format earlier releases wrote, which tests
+    /// build to check that such runs still open, prove and merge.
+    fn create_with_leaf_layer(
+        dir: &Path,
+        id: RunId,
+        expected_entries: u64,
+        config: &ColeConfig,
+        ctx: RunContext,
+        merkle_leaves: LeafLayer,
+    ) -> Result<Self> {
         if expected_entries == 0 {
             return Err(ColeError::InvalidState(
                 "a run must contain at least one entry".into(),
@@ -323,8 +343,12 @@ impl RunBuilder {
         }
         std::fs::create_dir_all(dir)?;
         let index = IndexFileBuilder::create(index_path(dir, id), config.epsilon)?;
-        let merkle =
-            MerkleFileBuilder::create(merkle_path(dir, id), expected_entries, config.mht_fanout)?;
+        let merkle = MerkleFileBuilder::create_with_leaf_layer(
+            merkle_path(dir, id),
+            expected_entries,
+            config.mht_fanout,
+            merkle_leaves,
+        )?;
         let side = if config.parallel_run_builds && expected_entries >= PARALLEL_BUILD_MIN_ENTRIES {
             SideBuilders::pipelined(index, merkle)
         } else {
@@ -338,6 +362,7 @@ impl RunBuilder {
             id,
             expected_entries,
             mht_fanout: config.mht_fanout,
+            merkle_leaves,
             value_writer: PageWriter::create(value_path(dir, id), ENTRY_LEN)?,
             side,
             bloom: BloomFilter::with_capacity(expected_entries as usize, config.bloom_fpr),
@@ -445,7 +470,8 @@ impl RunBuilder {
             epsilon: index.epsilon(),
             index_layer_counts: index.layer_counts().to_vec(),
             merkle_root: merkle.root(),
-            bloom_digest: Some(bloom.digest),
+            bloom_digest: bloom.digest,
+            merkle_leaves: self.merkle_leaves,
         };
         meta.write(&meta_path(&self.dir, self.id))?;
         self.ctx.kill("run:meta_written")?;
@@ -521,8 +547,24 @@ impl SideBuilders {
     }
 }
 
+/// Magic bytes opening every run-metadata file.
+const META_MAGIC: [u8; 4] = *b"CRUN";
+/// Metadata version of runs whose Merkle file stores its leaf layer.
+const META_V2: u32 = 2;
+/// Metadata version of runs whose Merkle file starts at layer 1; the file
+/// ends with a SHA-256 of the bytes before it.
+const META_V3: u32 = 3;
+
 /// Persistent metadata of a run, stored next to its files so the run can be
 /// reopened after a restart.
+///
+/// Encoding (little-endian): `"CRUN"`, `version: u32`, `id`,
+/// `num_entries`, `mht_fanout`, `epsilon: u64`, `layers: u32` and that many
+/// `u64` model counts, `merkle_root`, `bloom_digest`; v3 then appends the
+/// SHA-256 of all of that. The version says which leaf layer the Merkle file
+/// has: v2 stores it, v3 derives it. Decoding is strict: anything but v2 or
+/// v3, a truncated field, a count the bytes cannot hold, trailing bytes or
+/// (v3) a checksum mismatch is [`ColeError::InvalidEncoding`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunMeta {
     /// Run identifier.
@@ -537,19 +579,28 @@ pub struct RunMeta {
     pub index_layer_counts: Vec<u64>,
     /// Root digest of the Merkle file.
     pub merkle_root: Digest,
-    /// Digest of the serialized Bloom filter (format v2). Having it in the
-    /// metadata lets [`Run::open`] compute the run commitment without
-    /// reading or decoding the filter file — the filter loads lazily on the
-    /// first query that needs it. `None` for v1 metadata written by earlier
-    /// releases, which fall back to the eager load.
-    pub bloom_digest: Option<Digest>,
+    /// Digest of the serialized Bloom filter. Having it in the metadata lets
+    /// [`Run::open`] compute the run commitment without reading or decoding
+    /// the filter file — the filter loads lazily on the first query that
+    /// needs it.
+    pub bloom_digest: Digest,
+    /// Whether the Merkle file stores its leaf layer (v2) or not (v3).
+    pub merkle_leaves: LeafLayer,
 }
 
 impl RunMeta {
     fn write(&self, path: &Path) -> Result<()> {
+        write_durable(path, &self.encode())?;
+        Ok(())
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let version = match self.merkle_leaves {
+            LeafLayer::Stored => META_V2,
+            LeafLayer::Derived => META_V3,
+        };
         let mut out = Vec::new();
-        out.extend_from_slice(b"CRUN");
-        let version: u32 = if self.bloom_digest.is_some() { 2 } else { 1 };
+        out.extend_from_slice(&META_MAGIC);
         out.extend_from_slice(&version.to_le_bytes());
         out.extend_from_slice(&self.id.to_le_bytes());
         out.extend_from_slice(&self.num_entries.to_le_bytes());
@@ -560,59 +611,54 @@ impl RunMeta {
             out.extend_from_slice(&c.to_le_bytes());
         }
         out.extend_from_slice(self.merkle_root.as_bytes());
-        if let Some(digest) = &self.bloom_digest {
-            out.extend_from_slice(digest.as_bytes());
+        out.extend_from_slice(self.bloom_digest.as_bytes());
+        if version == META_V3 {
+            let checksum = sha256(&out);
+            out.extend_from_slice(checksum.as_bytes());
         }
-        write_durable(path, &out)?;
-        Ok(())
+        out
     }
 
     fn read(path: &Path) -> Result<Self> {
-        let bytes = std::fs::read(path)?;
-        if bytes.len() < 4 + 4 + 8 * 4 + 4 + DIGEST_LEN || &bytes[..4] != b"CRUN" {
-            return Err(ColeError::InvalidEncoding(format!(
-                "malformed run metadata at {}",
-                path.display()
-            )));
+        Self::decode(&std::fs::read(path)?)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        let invalid = |what: String| ColeError::InvalidEncoding(format!("run metadata {what}"));
+        let mut header = MetaReader { rest: bytes };
+        if header.take::<4>()? != META_MAGIC {
+            return Err(invalid("has no CRUN magic".into()));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("sliced 4 bytes"));
-        if !(1..=2).contains(&version) {
-            return Err(ColeError::InvalidEncoding(format!(
-                "unsupported run metadata version {version} at {}",
-                path.display()
-            )));
-        }
-        let mut pos = 8; // past magic + version
-        let u64_field = |pos: &mut usize| {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&bytes[*pos..*pos + 8]);
-            *pos += 8;
-            u64::from_le_bytes(buf)
+        let (merkle_leaves, body) = match header.u32()? {
+            META_V2 => (LeafLayer::Stored, bytes),
+            META_V3 => {
+                let (body, checksum) = bytes
+                    .split_last_chunk::<DIGEST_LEN>()
+                    .ok_or_else(|| invalid("is truncated".into()))?;
+                if sha256(body).as_bytes() != checksum {
+                    return Err(invalid("fails its checksum".into()));
+                }
+                (LeafLayer::Derived, body)
+            }
+            version => return Err(invalid(format!("version {version} is not supported"))),
         };
-        let id = u64_field(&mut pos);
-        let num_entries = u64_field(&mut pos);
-        let mht_fanout = u64_field(&mut pos);
-        let epsilon = u64_field(&mut pos);
-        let mut count_buf = [0u8; 4];
-        count_buf.copy_from_slice(&bytes[pos..pos + 4]);
-        pos += 4;
-        let layer_count = u32::from_le_bytes(count_buf) as usize;
-        let digests = if version >= 2 { 2 } else { 1 };
-        if bytes.len() < pos + layer_count * 8 + digests * DIGEST_LEN {
-            return Err(ColeError::InvalidEncoding("truncated run metadata".into()));
-        }
-        let mut index_layer_counts = Vec::with_capacity(layer_count);
+        let mut fields = MetaReader { rest: body };
+        fields.take::<8>()?; // magic and version, checked above
+        let id = fields.u64()?;
+        let num_entries = fields.u64()?;
+        let mht_fanout = fields.u64()?;
+        let epsilon = fields.u64()?;
+        let layer_count = fields.u32()? as usize;
+        let mut index_layer_counts =
+            Vec::with_capacity(check_claim(layer_count, fields.rest.len(), 8)?);
         for _ in 0..layer_count {
-            index_layer_counts.push(u64_field(&mut pos));
+            index_layer_counts.push(fields.u64()?);
         }
-        let take_digest = |pos: &mut usize| {
-            let mut buf = [0u8; DIGEST_LEN];
-            buf.copy_from_slice(&bytes[*pos..*pos + DIGEST_LEN]);
-            *pos += DIGEST_LEN;
-            Digest::new(buf)
-        };
-        let merkle_root = take_digest(&mut pos);
-        let bloom_digest = (version >= 2).then(|| take_digest(&mut pos));
+        let merkle_root = fields.digest()?;
+        let bloom_digest = fields.digest()?;
+        if !fields.rest.is_empty() {
+            return Err(invalid(format!("has {} trailing bytes", fields.rest.len())));
+        }
         Ok(RunMeta {
             id,
             num_entries,
@@ -621,13 +667,43 @@ impl RunMeta {
             index_layer_counts,
             merkle_root,
             bloom_digest,
+            merkle_leaves,
         })
+    }
+}
+
+/// A bounds-checked reader over run-metadata bytes: a field that does not
+/// fit the remaining bytes is [`ColeError::InvalidEncoding`], never a panic.
+struct MetaReader<'a> {
+    rest: &'a [u8],
+}
+
+impl MetaReader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, tail) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or_else(|| ColeError::InvalidEncoding("run metadata is truncated".into()))?;
+        self.rest = tail;
+        Ok(*head)
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn digest(&mut self) -> Result<Digest> {
+        self.take().map(Digest::new)
     }
 }
 
 /// A run's Bloom filter, decoded lazily on reopened runs.
 ///
-/// The digest (which feeds the run commitment) comes from the v2 metadata,
+/// The digest (which feeds the run commitment) comes from the metadata,
 /// so [`Run::open`] only *stats* the filter file; the first
 /// [`may_contain`](Run::may_contain) membership probe reads and decodes it
 /// once, verifying the bytes against the trusted digest. Only the decoded
@@ -646,8 +722,8 @@ struct RunBloom {
 }
 
 impl RunBloom {
-    /// A filter already in memory (freshly built, or eagerly loaded for v1
-    /// metadata); `ser` is its serialization, hashed for the digest.
+    /// A freshly built filter; `ser` is its serialization, hashed for the
+    /// digest.
     fn loaded(path: PathBuf, filter: BloomFilter, ser: &[u8]) -> Self {
         let digest = sha256(ser);
         let size_bytes = (ser.len() as u64).saturating_sub(24);
@@ -848,12 +924,13 @@ impl Run {
     /// Reopens a run from its on-disk files and metadata, wiring its reads
     /// into `ctx`'s cache and metrics.
     ///
-    /// The Bloom filter is *not* decoded here: v2 metadata carries its
+    /// The Bloom filter is *not* decoded here: the metadata carries its
     /// digest, so the commitment is computed immediately and the filter
     /// bits load lazily on the first query that consults them — reopening a
     /// store with hundreds of runs stats each filter file instead of
-    /// reading and hashing them all up front. (v1 metadata from earlier
-    /// releases falls back to the eager load.)
+    /// reading and hashing them all up front. The metadata version says
+    /// whether the Merkle file stores its leaf layer (v2) or not (v3); both
+    /// open, prove and merge alike.
     ///
     /// # Errors
     ///
@@ -889,34 +966,27 @@ impl Run {
             LearnedIndexFile::open(&path, meta.index_layer_counts.clone(), meta.epsilon)
                 .map_err(context("index", &path))?;
         let path = merkle_path(dir, id);
-        let mut merkle = MerkleFile::open(&path, meta.num_entries, meta.mht_fanout)
-            .map_err(context("merkle", &path))?;
+        let mut merkle = MerkleFile::open_with_leaf_layer(
+            &path,
+            meta.num_entries,
+            meta.mht_fanout,
+            meta.merkle_leaves,
+        )
+        .map_err(context("merkle", &path))?;
         attach_run_io(&ctx, &mut value_file, &mut index, &mut merkle);
         if merkle.root() != meta.merkle_root {
             return Err(ColeError::InvalidState(format!(
                 "merkle root mismatch while reopening run {id}"
             )));
         }
+        // Stat only: a missing filter file still fails the open loudly, but
+        // the read + decode waits for the first use.
         let path = bloom_path(dir, id);
-        let bloom = match meta.bloom_digest {
-            Some(digest) => {
-                // Stat only: a missing filter file still fails the open
-                // loudly, but the read + decode waits for the first use.
-                let file_len = std::fs::metadata(&path)
-                    .map_err(ColeError::from)
-                    .map_err(context("bloom", &path))?
-                    .len();
-                RunBloom::lazy(path, digest, file_len)
-            }
-            None => {
-                // v1 metadata: no trusted digest, load eagerly as before.
-                let ser = std::fs::read(&path)
-                    .map_err(ColeError::from)
-                    .map_err(context("bloom", &path))?;
-                let filter = BloomFilter::from_bytes(&ser).map_err(context("bloom", &path))?;
-                RunBloom::loaded(path, filter, &ser)
-            }
-        };
+        let file_len = std::fs::metadata(&path)
+            .map_err(ColeError::from)
+            .map_err(context("bloom", &path))?
+            .len();
+        let bloom = RunBloom::lazy(path, meta.bloom_digest, file_len);
         Run::assemble(dir.to_path_buf(), meta, value_file, index, merkle, bloom)
     }
 
@@ -975,7 +1045,8 @@ impl Run {
         self.value_file.len_bytes()
     }
 
-    /// Bytes of index overhead (index file + Merkle file + Bloom filter).
+    /// Bytes of index overhead (index file + the Merkle file's stored layers
+    /// + Bloom filter).
     #[must_use]
     pub fn index_bytes(&self) -> u64 {
         self.index.size_bytes() + self.merkle.size_bytes() + self.bloom.size_bytes
@@ -986,8 +1057,9 @@ impl Run {
     ///
     /// This is the per-entry primitive; the multi-entry paths
     /// ([`position_le`](Run::position_le), [`get_latest`](Run::get_latest),
-    /// [`scan_range`](Run::scan_range)) go through [`Run::pinned_page`]
-    /// instead, which fetches and decodes each touched page once.
+    /// [`range_with_proof`](Run::range_with_proof)) go through
+    /// [`Run::pinned_page`] instead, which fetches and decodes each touched
+    /// page once.
     ///
     /// # Errors
     ///
@@ -1141,7 +1213,8 @@ impl Run {
     }
 
     /// Scans the value file for the provenance range `[lower, upper]`
-    /// (Algorithm 8 lines 13–17): starts at the last entry `≤ lower` (or the
+    /// (Algorithm 8 lines 13–17) and proves the scanned slice against the
+    /// run's Merkle root. The scan starts at the last entry `≤ lower` (or the
     /// beginning of the run) and stops at the first entry `> upper` (which is
     /// included as the right boundary witness).
     ///
@@ -1150,16 +1223,30 @@ impl Run {
     /// straight into the scan), instead of one fetch and one decode per
     /// entry as a naive [`Run::entry_at`] loop would pay.
     ///
+    /// The proof's leaf-layer siblings — at most `m − 1` entries on each
+    /// side of the slice — are rehashed from the first and last pages the
+    /// scan decoded, so a run whose Merkle file has no leaf layer proves
+    /// exactly what a stored-leaf one does, with one Merkle page fewer. Only
+    /// when a fanout-`m` group straddles a value page, which needs
+    /// `m ∤ 68`, is a neighbouring page fetched (through
+    /// [`Run::pinned_page`]).
+    ///
     /// # Errors
     ///
     /// Returns an error if a file read fails.
-    pub fn scan_range(&self, lower: &CompoundKey, upper: &CompoundKey) -> Result<RunRangeScan> {
+    pub fn range_with_proof(
+        &self,
+        lower: &CompoundKey,
+        upper: &CompoundKey,
+    ) -> Result<(RunRangeScan, RangeProof)> {
         let start = self.position_le_carry(lower)?;
         let first_pos = start.as_ref().map_or(0, |(pos, _)| *pos);
         let mut carried = start.map(|(_, page)| page);
         let mut entries = Vec::new();
         let mut last_pos = first_pos;
         let mut pos = first_pos;
+        let mut first_page: Option<PinnedPage> = None;
+        let mut last_page: Option<PinnedPage> = None;
         'pages: while pos < self.meta.num_entries {
             let page_id = pos / ENTRIES_PER_PAGE as u64;
             let page = match carried.take().filter(|p| p.page_id == page_id) {
@@ -1167,6 +1254,8 @@ impl Run {
                 None => self.decode_page(page_id)?,
             };
             let start_slot = (pos % ENTRIES_PER_PAGE as u64) as usize;
+            first_page.get_or_insert_with(|| page.clone());
+            last_page = Some(page.clone());
             for (key, value) in &page.entries()[start_slot..] {
                 entries.push((*key, *value));
                 last_pos = pos;
@@ -1176,20 +1265,27 @@ impl Run {
                 }
             }
         }
-        Ok(RunRangeScan {
+        let proof = self
+            .merkle
+            .range_proof_with(first_pos, last_pos, |position| {
+                let page_id = position / ENTRIES_PER_PAGE as u64;
+                let edges = first_page.iter().chain(&last_page);
+                let page = match edges.into_iter().find(|p| p.page_id == page_id) {
+                    Some(page) => page.clone(),
+                    None => self.pinned_page(page_id)?,
+                };
+                let slot = (position % ENTRIES_PER_PAGE as u64) as usize;
+                let (key, value) = page.entries().get(slot).ok_or_else(|| {
+                    ColeError::NotFound(format!("entry {position} is not on value page {page_id}"))
+                })?;
+                Ok(hash_entry(key, value))
+            })?;
+        let scan = RunRangeScan {
             first_pos,
             last_pos,
             entries,
-        })
-    }
-
-    /// Builds a Merkle range proof for positions `[first, last]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the range is invalid.
-    pub fn range_proof(&self, first: u64, last: u64) -> Result<RangeProof> {
-        self.merkle.range_proof(first, last)
+        };
+        Ok((scan, proof))
     }
 
     /// Returns an iterator over all entries in key order, reading the value
@@ -1376,14 +1472,14 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_brackets_the_query() {
+    fn range_scan_brackets_the_query() {
         let dir = tmpdir("scan");
         let run = build_run(&dir, 20, 5);
         let addr = Address::from_low_u64(7);
         // Query versions 2..=4 of address 7.
         let lower = CompoundKey::new(addr, 1); // blk_l - 1 = 1
         let upper = CompoundKey::new(addr, 5); // blk_u + 1 = 5
-        let scan = run.scan_range(&lower, &upper).unwrap();
+        let (scan, _) = run.range_with_proof(&lower, &upper).unwrap();
         let keys: Vec<u64> = scan
             .entries
             .iter()
@@ -1401,10 +1497,9 @@ mod tests {
         let dir = tmpdir("proof");
         let run = build_run(&dir, 30, 4);
         let addr = Address::from_low_u64(12);
-        let scan = run
-            .scan_range(&CompoundKey::new(addr, 0), &CompoundKey::new(addr, 10))
+        let (scan, proof) = run
+            .range_with_proof(&CompoundKey::new(addr, 0), &CompoundKey::new(addr, 10))
             .unwrap();
-        let proof = run.range_proof(scan.first_pos, scan.last_pos).unwrap();
         let leaves: Vec<Digest> = scan.entries.iter().map(|(k, v)| hash_entry(k, v)).collect();
         assert_eq!(proof.compute_root(&leaves).unwrap(), run.merkle_root());
         // The run commitment binds the bloom filter as well.
@@ -1442,7 +1537,7 @@ mod tests {
         let reopened = Run::open(&dir, 1, RunContext::default()).unwrap();
         assert!(
             !reopened.bloom_loaded(),
-            "open must not decode the filter (v2 meta carries its digest)"
+            "open must not decode the filter (the meta carries its digest)"
         );
         // The commitment is available without the filter bits.
         assert_eq!(reopened.commitment(), commitment);
@@ -1485,30 +1580,6 @@ mod tests {
         let err = Run::open(&dir, 1, RunContext::default()).unwrap_err();
         assert!(matches!(err, ColeError::NotFound(_)), "{err}");
         assert!(err.to_string().contains(".blm"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_metadata_without_bloom_digest_loads_eagerly() {
-        let dir = tmpdir("metav1");
-        let run = build_run(&dir, 15, 2);
-        let commitment = run.commitment();
-        // Rewrite the metadata as version 1 (no bloom digest), as earlier
-        // releases produced.
-        let meta = RunMeta {
-            bloom_digest: None,
-            ..run.meta.clone()
-        };
-        drop(run);
-        meta.write(&dir.join("run_00000001.meta")).unwrap();
-        let reopened = Run::open(&dir, 1, RunContext::default()).unwrap();
-        assert!(reopened.bloom_loaded(), "v1 falls back to the eager load");
-        assert_eq!(
-            reopened.commitment(),
-            commitment,
-            "commitment must not depend on the metadata version"
-        );
-        assert!(reopened.may_contain(&Address::from_low_u64(1)).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1666,11 +1737,9 @@ mod tests {
             "repeated descents must hit cached index pages"
         );
         // Proof construction reads (and caches) Merkle pages too.
-        let scan = run
-            .scan_range(&key(10, 0), &CompoundKey::new(Address::from_low_u64(12), 9))
-            .unwrap();
-        run.range_proof(scan.first_pos, scan.last_pos).unwrap();
-        run.range_proof(scan.first_pos, scan.last_pos).unwrap();
+        let upper = CompoundKey::new(Address::from_low_u64(12), 9);
+        run.range_with_proof(&key(10, 0), &upper).unwrap();
+        run.range_with_proof(&key(10, 0), &upper).unwrap();
         let m = ctx.metrics.snapshot();
         assert!(m.merkle_pages_read > 0, "proofs must read merkle pages");
         assert!(
@@ -1702,7 +1771,7 @@ mod tests {
         for addr in 0..50u64 {
             old.get_latest(&Address::from_low_u64(addr)).unwrap();
         }
-        old.range_proof(5, 10).unwrap();
+        old.range_with_proof(&key(5, 0), &key(10, 0)).unwrap();
         let m = ctx.metrics.snapshot();
         assert!(
             m.value_pages_read > 0 && m.index_pages_read > 0 && m.merkle_pages_read > 0,
@@ -1738,10 +1807,246 @@ mod tests {
     fn index_overhead_is_small_relative_to_data() {
         let dir = tmpdir("overhead");
         let run = build_run(&dir, 500, 4);
-        // Merkle file is ~55% of data size (32-byte digest per 60-byte entry
-        // plus upper layers); learned index and bloom are tiny. The total
-        // must stay well under MPT-style multiples of the data size.
+        // The Merkle file stores no leaf layer, so it is ~18% of the data
+        // size (at fanout 4, one 32-byte digest per three 60-byte entries);
+        // learned index and bloom are tiny. The total must stay well under
+        // MPT-style multiples of the data size.
         assert!(run.index_bytes() < run.data_bytes() * 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    /// Builds run `id` in `dir` from `entries` with the given Merkle leaf
+    /// layer (`Stored` writes the v2 format earlier releases wrote).
+    fn build_entries(
+        dir: &Path,
+        id: RunId,
+        entries: &[(CompoundKey, StateValue)],
+        config: &ColeConfig,
+        leaves: LeafLayer,
+    ) -> Run {
+        let mut builder = RunBuilder::create_with_leaf_layer(
+            dir,
+            id,
+            entries.len() as u64,
+            config,
+            RunContext::default(),
+            leaves,
+        )
+        .unwrap();
+        for (k, v) in entries {
+            builder.push(*k, *v).unwrap();
+        }
+        builder.finish().unwrap()
+    }
+
+    fn one_version_each(n: u64) -> Vec<(CompoundKey, StateValue)> {
+        (0..n)
+            .map(|a| (key(a, 1), StateValue::from_u64(a * 3)))
+            .collect()
+    }
+
+    /// `proof` over `scan` must verify against `run`'s root.
+    fn assert_verifies(run: &Run, scan: &RunRangeScan, proof: &RangeProof) {
+        let leaves: Vec<Digest> = scan.entries.iter().map(|(k, v)| hash_entry(k, v)).collect();
+        assert_eq!(
+            proof.compute_root(&leaves).unwrap(),
+            run.merkle_root(),
+            "[{}, {}]",
+            scan.first_pos,
+            scan.last_pos
+        );
+    }
+
+    #[test]
+    fn new_runs_write_v3_meta_without_a_merkle_leaf_layer() {
+        let dir = tmpdir("v3meta");
+        let run = build_run(&dir, 40, 2);
+        assert_eq!(run.meta.merkle_leaves, LeafLayer::Derived);
+        let bytes = std::fs::read(dir.join("run_00000001.meta")).unwrap();
+        assert_eq!(&bytes[4..8], &META_V3.to_le_bytes());
+        let (body, checksum) = bytes.split_last_chunk::<DIGEST_LEN>().unwrap();
+        assert_eq!(sha256(body).as_bytes(), checksum);
+        assert_eq!(RunMeta::decode(&bytes).unwrap(), run.meta);
+        assert_eq!(run.merkle.layout().first_stored_layer(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn meta_decoding_is_strict() {
+        let dir = tmpdir("strictmeta");
+        let run = build_run(&dir, 10, 2);
+        let v3 = run.meta.encode();
+        let v2 = RunMeta {
+            merkle_leaves: LeafLayer::Stored,
+            ..run.meta.clone()
+        }
+        .encode();
+        assert_eq!(
+            RunMeta::decode(&v2).unwrap().merkle_leaves,
+            LeafLayer::Stored
+        );
+        assert_eq!(v2.len() + DIGEST_LEN, v3.len());
+        let mut trailing = v2.clone();
+        trailing.push(0);
+        let mut huge_count = v2.clone();
+        // The layer count sits after magic, version and four u64 fields.
+        huge_count[40..44].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut v1 = v2.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        for (what, bytes) in [
+            ("empty", &[][..]),
+            ("truncated v2", &v2[..v2.len() - 1]),
+            ("truncated v3", &v3[..v3.len() - 1]),
+            ("trailing byte", &trailing[..]),
+            ("forged layer count", &huge_count[..]),
+            ("v1", &v1[..]),
+        ] {
+            match RunMeta::decode(bytes) {
+                Err(ColeError::InvalidEncoding(_)) => {}
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_bit_flip_of_v3_meta_fails_open_naming_the_run() {
+        let dir = tmpdir("metaflips");
+        let run = build_run(&dir, 30, 2);
+        drop(run);
+        let path = dir.join("run_00000001.meta");
+        let honest = std::fs::read(&path).unwrap();
+        for bit in 0..honest.len() * 8 {
+            let mut flipped = honest.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &flipped).unwrap();
+            match Run::open(&dir, 1, RunContext::default()) {
+                Err(ColeError::InvalidEncoding(msg)) => {
+                    assert!(msg.contains("run 1"), "bit {bit}: {msg}");
+                }
+                Err(other) => panic!("bit {bit}: wrong error {other}"),
+                Ok(_) => panic!("bit {bit}: a flipped meta file opened"),
+            }
+        }
+        std::fs::write(&path, &honest).unwrap();
+        Run::open(&dir, 1, RunContext::default()).expect("the honest file opens");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn index_bytes_fall_by_one_digest_per_entry_without_the_leaf_layer() {
+        let dir = tmpdir("leafbytes");
+        let entries = one_version_each(1000);
+        let config = ColeConfig::default();
+        let stored = build_entries(&dir, 1, &entries, &config, LeafLayer::Stored);
+        let derived = build_entries(&dir, 2, &entries, &config, LeafLayer::Derived);
+        assert_eq!(
+            stored.index_bytes() - derived.index_bytes(),
+            32 * stored.num_entries()
+        );
+        assert_eq!(stored.data_bytes(), derived.data_bytes());
+        assert_eq!(stored.merkle_root(), derived.merkle_root());
+        assert_eq!(stored.commitment(), derived.commitment());
+        // The counter follows the file: what left the accounting left the
+        // disk.
+        let mrk = |id: RunId| std::fs::metadata(merkle_path(&dir, id)).unwrap().len();
+        for (id, run) in [(1, &stored), (2, &derived)] {
+            let size = run.merkle.size_bytes();
+            assert!(size <= mrk(id) && mrk(id) < size + PAGE_SIZE as u64);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fanout_8_proofs_straddling_a_value_page_verify() {
+        // 68 entries to a page and 68 % 8 == 4: the leaf group 64..72
+        // straddles pages 0 and 1, and 136..144 pages 1 and 2.
+        let dir = tmpdir("straddle");
+        let entries = one_version_each(300);
+        let config = ColeConfig::default().with_mht_fanout(8);
+        let derived = build_entries(&dir, 1, &entries, &config, LeafLayer::Derived);
+        let stored = build_entries(&dir, 2, &entries, &config, LeafLayer::Stored);
+        let reopened = Run::open(&dir, 1, RunContext::default()).unwrap();
+        let mut straddled = 0;
+        for first in (60..80).chain(128..146).chain(290..300) {
+            for width in [0u64, 1, 3, 9] {
+                // The scan runs from the last entry ≤ `lower` to the first
+                // entry > `upper`: positions [first, first + width + 1].
+                let lower = key(first, 1);
+                let upper = CompoundKey::new(Address::from_low_u64(first + width), 5);
+                for run in [&derived, &reopened] {
+                    let (scan, proof) = run.range_with_proof(&lower, &upper).unwrap();
+                    assert_eq!(scan.first_pos, first);
+                    assert_verifies(run, &scan, &proof);
+                    // Byte for byte what the stored leaf layer proves.
+                    let expected = stored.merkle.range_proof(scan.first_pos, scan.last_pos);
+                    assert_eq!(proof.to_bytes(), expected.unwrap().to_bytes());
+                    let page = |pos: u64| pos / ENTRIES_PER_PAGE as u64;
+                    let (lo, hi) = (scan.first_pos / 8 * 8, (scan.last_pos / 8 + 1) * 8 - 1);
+                    if page(lo) != page(scan.first_pos) || page(hi.min(299)) != page(scan.last_pos)
+                    {
+                        straddled += 1;
+                    }
+                }
+            }
+        }
+        assert!(straddled > 0, "no proven range straddled a value page");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn v2_runs_open_prove_and_merge_next_to_v3_runs() {
+        let dir = tmpdir("v2v3merge");
+        let config = ColeConfig::default();
+        let old: Vec<_> = (0..200)
+            .map(|a| (key(a, 1), StateValue::from_u64(a)))
+            .collect();
+        let young: Vec<_> = (0..200)
+            .map(|a| (key(a, 2), StateValue::from_u64(a + 7)))
+            .collect();
+        let v2 = build_entries(&dir, 1, &old, &config, LeafLayer::Stored);
+        drop(v2);
+        let v2 = Arc::new(Run::open(&dir, 1, RunContext::default()).unwrap());
+        assert_eq!(v2.meta.merkle_leaves, LeafLayer::Stored);
+        let v3 = Arc::new(build_entries(&dir, 2, &young, &config, LeafLayer::Derived));
+        let probe = |run: &Run| {
+            let addr = Address::from_low_u64(77);
+            let (scan, proof) = run
+                .range_with_proof(&CompoundKey::new(addr, 0), &CompoundKey::new(addr, 3))
+                .unwrap();
+            assert_verifies(run, &scan, &proof);
+        };
+        probe(&v2);
+        probe(&v3);
+        let merged = crate::merge::merge_runs(
+            &dir,
+            3,
+            &[Arc::clone(&v3), Arc::clone(&v2)],
+            &config,
+            RunContext::default(),
+        )
+        .unwrap();
+        assert_eq!(merged.meta.merkle_leaves, LeafLayer::Derived);
+        assert_eq!(merged.num_entries(), 400);
+        probe(&merged);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn single_entry_runs_keep_their_root_and_prove() {
+        let dir = tmpdir("single");
+        let run = build_entries(
+            &dir,
+            1,
+            &one_version_each(1),
+            &ColeConfig::default(),
+            LeafLayer::Derived,
+        );
+        let root = run.merkle_root();
+        drop(run);
+        let reopened = Run::open(&dir, 1, RunContext::default()).unwrap();
+        assert_eq!(reopened.merkle_root(), root);
+        let (scan, proof) = reopened.range_with_proof(&key(0, 0), &key(0, 9)).unwrap();
+        assert_verifies(&reopened, &scan, &proof);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,7 +7,7 @@ use cole_primitives::{ColeError, Digest, Result, DIGEST_LEN};
 use cole_storage::PageFile;
 
 use crate::file::MerkleFile;
-use crate::layout::MhtLayout;
+use crate::layout::{LeafLayer, MhtLayout};
 
 /// Streamingly builds a Merkle file for a run whose number of entries is
 /// known in advance (Algorithm 4).
@@ -17,32 +17,56 @@ use crate::layout::MhtLayout;
 /// the next layer's buffer and the filled buffer is flushed to its
 /// precomputed offset in the file. Memory usage is `O(m · ⌈log_m n⌉)`, which
 /// matches the write-memory-footprint analysis of Table 1.
+///
+/// A builder made with [`LeafLayer::Derived`] still takes every leaf — the
+/// leaves are hashed into layer 1 as usual — but writes nothing of layer 0.
 #[derive(Debug)]
 pub struct MerkleFileBuilder {
     file: PageFile,
     layout: MhtLayout,
     /// One pending-digest buffer per layer.
     buffers: Vec<Vec<Digest>>,
-    /// Next write offset (in nodes, not bytes) per layer.
+    /// Next write offset (in nodes, not bytes) per layer; unused for a
+    /// layer the file does not store.
     write_cursor: Vec<u64>,
     leaves_pushed: u64,
 }
 
 impl MerkleFileBuilder {
     /// Creates a builder writing to `path` for a tree of `num_leaves` leaves
-    /// with fanout `fanout`.
+    /// with fanout `fanout`, storing every layer ([`LeafLayer::Stored`]).
     ///
     /// # Errors
     ///
     /// Returns an error if the file cannot be created or the parameters are
     /// degenerate.
     pub fn create<P: AsRef<Path>>(path: P, num_leaves: u64, fanout: u64) -> Result<Self> {
-        let layout = MhtLayout::new(num_leaves, fanout)?;
+        Self::create_with_leaf_layer(path, num_leaves, fanout, LeafLayer::Stored)
+    }
+
+    /// [`MerkleFileBuilder::create`] for a file that stores the leaf layer
+    /// or not, as `leaves` says. Open the finished file again with the same
+    /// `leaves`.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`MerkleFileBuilder::create`].
+    pub fn create_with_leaf_layer<P: AsRef<Path>>(
+        path: P,
+        num_leaves: u64,
+        fanout: u64,
+        leaves: LeafLayer,
+    ) -> Result<Self> {
+        let layout = MhtLayout::with_leaf_layer(num_leaves, fanout, leaves)?;
         let file = PageFile::create(path)?;
         let depth = layout.depth();
-        let mut write_cursor = Vec::with_capacity(depth);
-        for layer in 0..depth {
-            write_cursor.push(layout.layer_offset(layer));
+        let mut write_cursor = vec![0; depth];
+        for (layer, cursor) in write_cursor
+            .iter_mut()
+            .enumerate()
+            .skip(layout.first_stored_layer())
+        {
+            *cursor = layout.layer_offset(layer);
         }
         Ok(MerkleFileBuilder {
             file,
@@ -122,7 +146,7 @@ impl MerkleFileBuilder {
 
     fn flush_buffer(&mut self, layer: usize) -> Result<()> {
         let digests = std::mem::take(&mut self.buffers[layer]);
-        if digests.is_empty() {
+        if digests.is_empty() || layer < self.layout.first_stored_layer() {
             return Ok(());
         }
         let mut bytes = Vec::with_capacity(digests.len() * DIGEST_LEN);
@@ -158,17 +182,28 @@ mod tests {
     }
 
     fn check_against_reference(n: u64, fanout: u64, name: &str) {
-        let path = tmp(name);
+        for leaves in [LeafLayer::Stored, LeafLayer::Derived] {
+            check_layers_against_reference(n, fanout, leaves, name);
+        }
+    }
+
+    fn check_layers_against_reference(n: u64, fanout: u64, leaf_layer: LeafLayer, name: &str) {
+        let path = tmp(&format!("{name}-{leaf_layer:?}"));
         let leaves: Vec<Digest> = (0..n).map(|i| sha256(&i.to_be_bytes())).collect();
-        let mut builder = MerkleFileBuilder::create(&path, n, fanout).unwrap();
+        let mut builder =
+            MerkleFileBuilder::create_with_leaf_layer(&path, n, fanout, leaf_layer).unwrap();
         for leaf in &leaves {
             builder.push_leaf(*leaf).unwrap();
         }
         let merkle = builder.finish().unwrap();
         let reference = reference_tree(&leaves, fanout as usize);
         assert_eq!(merkle.root(), *reference.last().unwrap().last().unwrap());
-        // Every stored node must match the reference tree.
-        for (layer, ref_layer) in reference.iter().enumerate() {
+        // Every stored node must match the reference tree, and the file
+        // holds nothing else.
+        let first_stored = merkle.layout().first_stored_layer();
+        let stored: usize = reference[first_stored..].iter().map(Vec::len).sum();
+        assert_eq!(merkle.layout().total_nodes(), stored as u64);
+        for (layer, ref_layer) in reference.iter().enumerate().skip(first_stored) {
             for (i, expected) in ref_layer.iter().enumerate() {
                 let pos = merkle.layout().layer_offset(layer) + i as u64;
                 assert_eq!(

@@ -2,35 +2,69 @@
 
 use cole_primitives::{ColeError, Result};
 
+/// Which layers of a tree its Merkle file stores.
+///
+/// Every leaf of a run's tree is `hash_entry(key, value)` of the entry at the
+/// same position in the run's value file, so the leaf layer is a pure
+/// function of data stored elsewhere. A [`Derived`](LeafLayer::Derived)
+/// file omits it; a range proof over such a file gets its leaf-layer
+/// siblings from the caller (see
+/// [`MerkleFile::range_proof_with`](crate::MerkleFile::range_proof_with)).
+/// The tree, its root and its proofs are the same either way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LeafLayer {
+    /// Layer 0 is stored: the file holds every node of the tree.
+    Stored,
+    /// Layer 0 is not stored: the file starts at layer 1. A single-leaf
+    /// tree is the exception — its leaf is its root, which every file
+    /// stores.
+    Derived,
+}
+
 /// The layout of an m-ary complete MHT with `n` leaves.
 ///
 /// Following Algorithm 4, the tree has `⌈log_m n⌉ + 1` layers containing
-/// `n, ⌈n/m⌉, ⌈n/m²⌉, …, 1` hash values. Layer 0 is the leaf layer. Hash
-/// values of all layers are stored contiguously in the Merkle file, layer 0
-/// first, so a node is addressed by its *global position*
-/// `layer_offset(layer) + index_within_layer`.
+/// `n, ⌈n/m⌉, ⌈n/m²⌉, …, 1` hash values. Layer 0 is the leaf layer. The
+/// stored layers sit contiguously in the Merkle file, lowest first, so a
+/// stored node is addressed by its *global position*
+/// `layer_offset(layer) + index_within_layer`. With
+/// [`LeafLayer::Stored`] that is every layer and layer 0 starts at
+/// position 0; with [`LeafLayer::Derived`] the file starts at layer 1,
+/// which then sits at position 0, and positions, [`total_nodes`] and the
+/// root position count only the stored layers.
+///
+/// [`total_nodes`]: MhtLayout::total_nodes
 ///
 /// # Examples
 ///
 /// ```
-/// use cole_mht::MhtLayout;
+/// use cole_mht::{LeafLayer, MhtLayout};
 ///
 /// let layout = MhtLayout::new(10, 4).unwrap();
 /// assert_eq!(layout.layer_sizes(), &[10, 3, 1]);
 /// assert_eq!(layout.total_nodes(), 14);
 /// assert_eq!(layout.root_position(), 13);
+///
+/// let derived = MhtLayout::with_leaf_layer(10, 4, LeafLayer::Derived).unwrap();
+/// assert_eq!(derived.first_stored_layer(), 1);
+/// assert_eq!(derived.layer_offset(1), 0);
+/// assert_eq!(derived.total_nodes(), 4);
+/// assert_eq!(derived.root_position(), 3);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MhtLayout {
     num_leaves: u64,
     fanout: u64,
     layer_sizes: Vec<u64>,
+    /// Global position of the first node of each stored layer, indexed by
+    /// `layer - first_stored`.
     layer_offsets: Vec<u64>,
+    first_stored: usize,
 }
 
 impl MhtLayout {
     /// Computes the layout of a tree with `num_leaves` leaves and fanout
-    /// `fanout`.
+    /// `fanout` whose file stores every layer ([`LeafLayer::Stored`]).
     ///
     /// # Errors
     ///
@@ -38,6 +72,16 @@ impl MhtLayout {
     /// `fanout` is less than two, or the tree's node count overflows `u64`
     /// (only a hostile proof claims such a shape).
     pub fn new(num_leaves: u64, fanout: u64) -> Result<Self> {
+        Self::with_leaf_layer(num_leaves, fanout, LeafLayer::Stored)
+    }
+
+    /// Computes the layout of a tree with `num_leaves` leaves and fanout
+    /// `fanout` whose file stores the leaf layer or not, as `leaves` says.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`MhtLayout::new`].
+    pub fn with_leaf_layer(num_leaves: u64, fanout: u64, leaves: LeafLayer) -> Result<Self> {
         if num_leaves == 0 {
             return Err(ColeError::InvalidConfig(
                 "merkle tree must have at least one leaf".into(),
@@ -54,9 +98,14 @@ impl MhtLayout {
             size = size.div_ceil(fanout);
             layer_sizes.push(size);
         }
-        let mut layer_offsets = Vec::with_capacity(layer_sizes.len());
+        // The root layer is always stored, so a one-leaf tree keeps its leaf.
+        let first_stored = match leaves {
+            LeafLayer::Stored => 0,
+            LeafLayer::Derived => 1.min(layer_sizes.len() - 1),
+        };
+        let mut layer_offsets = Vec::with_capacity(layer_sizes.len() - first_stored);
         let mut offset = 0u64;
-        for &s in &layer_sizes {
+        for &s in &layer_sizes[first_stored..] {
             layer_offsets.push(offset);
             offset = offset.checked_add(s).ok_or_else(|| {
                 ColeError::InvalidConfig("merkle tree node count overflows u64".into())
@@ -67,6 +116,7 @@ impl MhtLayout {
             fanout,
             layer_sizes,
             layer_offsets,
+            first_stored,
         })
     }
 
@@ -94,18 +144,31 @@ impl MhtLayout {
         &self.layer_sizes
     }
 
+    /// The lowest layer the Merkle file stores: 0 for
+    /// [`LeafLayer::Stored`], 1 for [`LeafLayer::Derived`] (0 again for a
+    /// one-leaf tree, whose leaf is its root).
+    #[must_use]
+    pub fn first_stored_layer(&self) -> usize {
+        self.first_stored
+    }
+
     /// Global position of the first node of `layer`.
     ///
     /// # Panics
     ///
-    /// Panics if `layer >= depth()`.
+    /// Panics if `layer` is not stored (`layer < first_stored_layer()`) or
+    /// `layer >= depth()`.
     #[must_use]
     pub fn layer_offset(&self, layer: usize) -> u64 {
-        self.layer_offsets[layer]
+        assert!(
+            layer >= self.first_stored,
+            "merkle layer {layer} is not stored"
+        );
+        self.layer_offsets[layer - self.first_stored]
     }
 
-    /// Total number of nodes over all layers (the number of digests stored in
-    /// the Merkle file).
+    /// Number of nodes over all stored layers (the number of digests in the
+    /// Merkle file).
     #[must_use]
     pub fn total_nodes(&self) -> u64 {
         self.layer_offsets.last().unwrap() + 1
@@ -180,6 +243,21 @@ mod tests {
         assert_eq!(layout.parent_index(7), 0);
         assert_eq!(layout.parent_index(8), 1);
         assert_eq!(layout.parent_index(99), 12);
+    }
+
+    #[test]
+    fn derived_layout_skips_the_leaf_layer() {
+        let stored = MhtLayout::new(10, 4).unwrap();
+        let derived = MhtLayout::with_leaf_layer(10, 4, LeafLayer::Derived).unwrap();
+        assert_eq!(derived.layer_sizes(), stored.layer_sizes());
+        assert_eq!(derived.total_nodes(), stored.total_nodes() - 10);
+        for layer in 1..stored.depth() {
+            assert_eq!(derived.layer_offset(layer), stored.layer_offset(layer) - 10);
+        }
+        // A one-leaf tree's leaf is its root, which is always stored.
+        let single = MhtLayout::with_leaf_layer(1, 4, LeafLayer::Derived).unwrap();
+        assert_eq!(single.first_stored_layer(), 0);
+        assert_eq!(single.total_nodes(), 1);
     }
 
     #[test]

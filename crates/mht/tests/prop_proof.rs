@@ -1,19 +1,31 @@
 //! Property-based tests of the m-ary Merkle file: any contiguous leaf range
-//! of any tree shape yields a proof that reconstructs the root, and tampering
-//! with any covered leaf changes the reconstructed root.
+//! of any tree shape yields a proof that reconstructs the root, tampering
+//! with any covered leaf changes the reconstructed root, and a file without
+//! its leaf layer proves byte for byte what the full file proves.
 
 use cole_hash::sha256;
-use cole_mht::{MerkleFileBuilder, RangeProof};
+use cole_mht::{LeafLayer, MerkleFile, MerkleFileBuilder, RangeProof};
 use cole_primitives::Digest;
 use proptest::prelude::*;
 
-fn build(leaves: &[Digest], fanout: u64, tag: &str) -> (cole_mht::MerkleFile, std::path::PathBuf) {
+fn build(leaves: &[Digest], fanout: u64, tag: &str) -> (MerkleFile, std::path::PathBuf) {
+    build_with(leaves, fanout, LeafLayer::Stored, tag)
+}
+
+fn build_with(
+    leaves: &[Digest],
+    fanout: u64,
+    leaf_layer: LeafLayer,
+    tag: &str,
+) -> (MerkleFile, std::path::PathBuf) {
     let path = std::env::temp_dir().join(format!(
         "cole-prop-mht-{}-{tag}-{}-{fanout}",
         std::process::id(),
         leaves.len()
     ));
-    let mut builder = MerkleFileBuilder::create(&path, leaves.len() as u64, fanout).unwrap();
+    let mut builder =
+        MerkleFileBuilder::create_with_leaf_layer(&path, leaves.len() as u64, fanout, leaf_layer)
+            .unwrap();
     for leaf in leaves {
         builder.push_leaf(*leaf).unwrap();
     }
@@ -52,7 +64,25 @@ proptest! {
             let bad_root = proof.compute_root(&tampered).unwrap();
             prop_assert_ne!(bad_root, merkle.root());
         }
+
+        // Derived vs stored: the file without its leaf layer, fed the leaf
+        // siblings by position, has the same root and proves the same bytes.
+        let (derived, derived_path) = build_with(&leaves, fanout, LeafLayer::Derived, "derived");
+        let reopened = MerkleFile::open_with_leaf_layer(
+            &derived_path,
+            n,
+            fanout,
+            LeafLayer::Derived,
+        )
+        .unwrap();
+        prop_assert_eq!(derived.root(), merkle.root());
+        prop_assert_eq!(reopened.root(), merkle.root());
+        let derived_proof = reopened
+            .range_proof_with(first, last, |pos| Ok(leaves[pos as usize]))
+            .unwrap();
+        prop_assert_eq!(derived_proof.to_bytes(), proof.to_bytes());
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&derived_path).ok();
     }
 
     #[test]
