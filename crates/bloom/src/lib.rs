@@ -22,6 +22,9 @@
 //! filter.insert(&Address::from_low_u64(7));
 //! assert!(filter.contains(&Address::from_low_u64(7)));
 //! ```
+//!
+//! A reader that asks several filters about the same address hashes it once
+//! into a [`BloomProbe`] and calls [`BloomFilter::contains_probe`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,9 +79,9 @@ impl BloomFilter {
 
     /// Inserts an address.
     pub fn insert(&mut self, addr: &Address) {
-        let (h1, h2) = Self::base_hashes(addr);
+        let probe = BloomProbe::new(addr);
         for i in 0..self.num_hashes {
-            let bit = self.probe(h1, h2, i);
+            let bit = self.bit(&probe, i);
             self.bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
         }
         self.num_items += 1;
@@ -88,9 +91,16 @@ impl BloomFilter {
     /// positives possible, false negatives impossible).
     #[must_use]
     pub fn contains(&self, addr: &Address) -> bool {
-        let (h1, h2) = Self::base_hashes(addr);
+        self.contains_probe(&BloomProbe::new(addr))
+    }
+
+    /// [`contains`](Self::contains) for an address hashed once up front:
+    /// a reader that asks many filters about one address pays one SHA-256
+    /// instead of one per filter.
+    #[must_use]
+    pub fn contains_probe(&self, probe: &BloomProbe) -> bool {
         (0..self.num_hashes).all(|i| {
-            let bit = self.probe(h1, h2, i);
+            let bit = self.bit(probe, i);
             self.bits[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
         })
     }
@@ -203,18 +213,35 @@ impl BloomFilter {
         hasher.finalize()
     }
 
-    fn base_hashes(addr: &Address) -> (u64, u64) {
+    /// The `i`-th probe position of `probe` in this filter's bit array.
+    fn bit(&self, probe: &BloomProbe, i: u32) -> u64 {
+        probe.h1.wrapping_add(u64::from(i).wrapping_mul(probe.h2)) % self.num_bits
+    }
+}
+
+/// The two Kirsch–Mitzenmacher base hashes of one address, independent of
+/// any filter's size: every [`BloomFilter`] derives its probe positions
+/// from them, so one `BloomProbe` can be tested against many filters.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BloomProbe {
+    h1: u64,
+    h2: u64,
+}
+
+impl BloomProbe {
+    /// Hashes `addr` (one SHA-256) into its two base hashes.
+    #[must_use]
+    pub fn new(addr: &Address) -> Self {
         let digest = sha256(addr.as_bytes());
         let bytes = digest.as_bytes();
         let mut h1 = [0u8; 8];
         let mut h2 = [0u8; 8];
         h1.copy_from_slice(&bytes[..8]);
         h2.copy_from_slice(&bytes[8..16]);
-        (u64::from_le_bytes(h1), u64::from_le_bytes(h2))
-    }
-
-    fn probe(&self, h1: u64, h2: u64, i: u32) -> u64 {
-        h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % self.num_bits
+        BloomProbe {
+            h1: u64::from_le_bytes(h1),
+            h2: u64::from_le_bytes(h2),
+        }
     }
 }
 

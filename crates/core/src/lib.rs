@@ -98,7 +98,5 @@ pub use memtable::{merge_sorted_entry_lists, ShardedMemtable};
 pub use merge::{build_run_from_entries, merge_runs};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use proof::{compute_hstate, ColeProof, ComponentProof, RootEntryKind};
-pub use run::{
-    PinnedPage, PinnedSlot, Run, RunBuilder, RunContext, RunEntryIter, RunId, RunMeta, RunRangeScan,
-};
+pub use run::{Run, RunBuilder, RunContext, RunEntryIter, RunId, RunMeta, RunRangeScan};
 pub use snapshot::Snapshot;

@@ -107,7 +107,8 @@ pub struct ColeProof {
 impl ColeProof {
     /// Verifies the proof for the query `(addr, [blk_lower, blk_upper])`
     /// against the trusted state root digest `hstate`, and checks that the
-    /// claimed `values` are exactly the authenticated versions in the range.
+    /// claimed `values` are exactly the authenticated versions in the range,
+    /// newest first and each once.
     ///
     /// # Errors
     ///
@@ -219,11 +220,10 @@ impl ColeProof {
         authenticated.sort_by_key(|v| std::cmp::Reverse(v.block_height));
         authenticated.dedup();
 
-        let mut claimed = values.to_vec();
-        claimed.sort_by_key(|v| std::cmp::Reverse(v.block_height));
-        claimed.dedup();
-
-        Ok(authenticated == claimed)
+        // The claim must be that list exactly — the order the honest prover
+        // emits — not merely the same set: a repeated or reordered version
+        // would otherwise pass verification and reach the caller.
+        Ok(authenticated == values)
     }
 
     /// Serializes the proof for transport (the paper's proof-size metric is

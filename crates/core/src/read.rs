@@ -33,21 +33,33 @@
 //! disclosed filter any more, the verifier rejects
 //! [`ComponentProof::RunBloomNegative`] without parsing the filter bytes.
 //!
+//! **Runs are searched in place.** Both algorithms find their place in a
+//! run with one search (`Run::locate`): the learned index predicts a
+//! position within ε, and the value pages around it are searched on their
+//! cached bytes, comparing the query's 28-byte big-endian key with each
+//! probed entry's key prefix — the same byte compare on each index layer
+//! against the models' `kmin`. No page is decoded to be searched:
+//! [`Run::get_latest`] decodes the one entry it returns, and [`get`] hashes
+//! the address once ([`BloomProbe`]) for every run's Bloom filter.
+//!
 //! **A searched run is scanned and proven in one pass**
-//! ([`Run::range_with_proof`]). Runs written since the Merkle leaf layer
-//! stopped being stored (run metadata v3) keep only layers 1 and up on
-//! disk: each leaf is `hash_entry` of the value-file entry at its position,
-//! so the at most `m − 1` leaf siblings on each side of the scanned slice
-//! are rehashed from the value pages the scan just decoded, and only the
-//! upper layers are read from the Merkle file. The proof bytes, the root
-//! and the run commitment are those of the stored-leaf tree, so neither
-//! `Hstate` nor the verifier can tell the two kinds of run apart, and
-//! older (v2) runs are proven the same way.
+//! ([`Run::range_with_proof`]). The scan starts on the page the search
+//! ends on and decodes only the entries up to the first key above the
+//! range. Runs written since the Merkle leaf layer stopped being stored
+//! (run metadata v3) keep only layers 1 and up on disk: each leaf is
+//! `hash_entry` of the value-file entry at its position, so the at most
+//! `m − 1` leaf siblings on each side of the scanned slice are rehashed
+//! from the first and last value pages the scan holds, and only the upper
+//! layers are read from the Merkle file. The proof bytes, the root and the
+//! run commitment are those of the stored-leaf tree, so neither `Hstate`
+//! nor the verifier can tell the two kinds of run apart, and older (v2)
+//! runs are proven the same way.
 //!
 //! [`get`]: ReadView::get
 
 use std::sync::Arc;
 
+use cole_bloom::BloomProbe;
 use cole_mbtree::MbTree;
 use cole_primitives::{
     Address, CompoundKey, Digest, ProvenanceResult, Result, StateValue, VersionedValue,
@@ -162,8 +174,10 @@ impl<'a, R: Iterator<Item = &'a Arc<Run>>> ReadView<'a, R> {
                 return Ok(Some(value));
             }
         }
+        // One SHA-256 of the address serves every run's Bloom filter.
+        let probe = BloomProbe::new(&addr);
         for run in self.runs {
-            if !run.may_contain(&addr)? {
+            if !run.may_contain(&probe)? {
                 Metrics::inc(&self.metrics.bloom_skips);
                 continue;
             }

@@ -7,21 +7,19 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 // `OnceLock` stays `std` even under `--cfg loom`: the Bloom cell is
 // initialize-once, idempotent, and carries its own internal synchronization
-// (see `ORDERINGS.md`). The pinned-page slot routes through `crate::sync`.
+// (see `ORDERINGS.md`).
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-use cole_bloom::BloomFilter;
+use cole_bloom::{BloomFilter, BloomProbe};
 use cole_hash::{hash_entry, hash_pair, sha256};
 use cole_learned::{IndexFileBuilder, LearnedIndexFile};
 use cole_mht::{LeafLayer, MerkleFile, MerkleFileBuilder, RangeProof};
 use cole_primitives::{
-    check_claim, Address, ColeError, CompoundKey, Digest, KeyNum, Result, StateValue,
+    check_claim, Address, ColeError, CompoundKey, Digest, KeyNum, Result, StateValue, ADDRESS_LEN,
     COMPOUND_KEY_LEN, DIGEST_LEN, ENTRY_LEN, PAGE_SIZE, VALUE_LEN,
 };
-use cole_storage::{sync_dir, write_durable, PageCache, PageFile, PageWriter};
-
-use crate::sync::{lock_recover, Mutex};
+use cole_storage::{sync_dir, write_durable, PageCache, PageFile, PageWriter, SortedRecords};
 
 use crate::config::ColeConfig;
 use crate::failpoint::KillPoints;
@@ -180,6 +178,12 @@ fn decode_entry(bytes: &[u8]) -> Result<(CompoundKey, StateValue)> {
     let mut value = [0u8; VALUE_LEN];
     value.copy_from_slice(&bytes[COMPOUND_KEY_LEN..ENTRY_LEN]);
     Ok((key, StateValue::new(value)))
+}
+
+/// The bytes of the entry at `position` on its value page.
+fn entry_bytes(page: &[u8], position: u64) -> &[u8] {
+    let slot = (position % ENTRIES_PER_PAGE as u64) as usize;
+    &page[slot * ENTRY_LEN..(slot + 1) * ENTRY_LEN]
 }
 
 /// Entries per batch handed to the pipelined builder's worker threads —
@@ -783,105 +787,6 @@ pub struct RunRangeScan {
     pub entries: Vec<(CompoundKey, StateValue)>,
 }
 
-/// One decoded value-file page, shared without re-fetching or re-decoding.
-///
-/// Cloning is cheap (an `Arc` bump). [`Run::pinned_page`] hands these out
-/// and keeps the most recently decoded page pinned per run, so the common
-/// `position_le` → value-fetch sequence of a point lookup decodes the page
-/// once, and a range scan decodes each page once instead of once per entry.
-#[derive(Clone, Debug)]
-pub struct PinnedPage {
-    page_id: u64,
-    entries: Arc<[(CompoundKey, StateValue)]>,
-}
-
-impl PinnedPage {
-    /// Builds a pinned page directly from decoded entries. The engine's
-    /// read paths construct these by decoding value-file pages; this
-    /// constructor exists so harnesses (notably the `loom` model tests in
-    /// `tests/loom_pinned.rs`) can exercise [`PinnedSlot`] without a run
-    /// directory on disk.
-    #[must_use]
-    pub fn from_entries(page_id: u64, entries: Vec<(CompoundKey, StateValue)>) -> Self {
-        PinnedPage {
-            page_id,
-            entries: entries.into(),
-        }
-    }
-
-    /// The value-file page id this decode covers.
-    #[must_use]
-    pub fn page_id(&self) -> u64 {
-        self.page_id
-    }
-
-    /// The decoded entries of the page, in key order (only the slots that
-    /// hold real entries, which matters for the final page of a run).
-    #[must_use]
-    pub fn entries(&self) -> &[(CompoundKey, StateValue)] {
-        &self.entries
-    }
-}
-
-/// The per-run hot-page slot: remembers the most recently decoded
-/// value-file page so the next query landing on the same page skips the
-/// cache probe, the fetch and the decode.
-///
-/// Concurrency contract (model-checked in `tests/loom_pinned.rs`): the
-/// slot is an opportunistic cache over *immutable* file pages, so a
-/// lookup may race a re-pin arbitrarily — the worst outcome is a
-/// duplicate decode, never a stale entry, because a [`PinnedPage`] for a
-/// given `page_id` has exactly one possible value. The mutex is held only
-/// for the id compare and the `Arc` clone; I/O happens outside it.
-#[derive(Debug)]
-pub struct PinnedSlot {
-    slot: Mutex<Option<PinnedPage>>,
-}
-
-// Manual so the `Mutex::new` call site is a stable source line: under
-// `--cfg lock_order` that line is the lock's class (`pinned-page-slot`
-// in LOCKS.md), which a derived `Default` would blur.
-impl Default for PinnedSlot {
-    fn default() -> Self {
-        PinnedSlot {
-            slot: Mutex::new(None),
-        }
-    }
-}
-
-impl PinnedSlot {
-    /// An empty slot.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the pinned decode of `page_id`, if that is the page
-    /// currently held.
-    #[must_use]
-    pub fn lookup(&self, page_id: u64) -> Option<PinnedPage> {
-        let slot = lock_recover(&self.slot);
-        slot.as_ref()
-            .filter(|page| page.page_id == page_id)
-            .cloned()
-    }
-
-    /// Pins `page`, replacing whatever was held.
-    pub fn pin(&self, page: &PinnedPage) {
-        *lock_recover(&self.slot) = Some(page.clone());
-    }
-
-    /// Pins `page` unless the held page already covers the same id (keeps
-    /// the referenced decode alive instead of replacing it with an equal
-    /// one).
-    pub fn pin_if_different(&self, page: &PinnedPage) {
-        let mut slot = lock_recover(&self.slot);
-        if slot.as_ref().is_none_or(|p| p.page_id != page.page_id) {
-            *slot = Some(page.clone());
-        }
-    }
-}
-
 /// An immutable on-disk sorted run.
 #[derive(Debug)]
 pub struct Run {
@@ -894,9 +799,6 @@ pub struct Run {
     /// to the first query that needs the bits.
     bloom: RunBloom,
     commitment: Digest,
-    /// Most recently decoded value-file page (see [`Run::pinned_page`]).
-    /// Files are immutable, so a pinned decode can never go stale.
-    pinned: PinnedSlot,
 }
 
 impl Run {
@@ -917,7 +819,6 @@ impl Run {
             merkle,
             bloom,
             commitment,
-            pinned: PinnedSlot::new(),
         })
     }
 
@@ -1021,15 +922,16 @@ impl Run {
         self.bloom.digest
     }
 
-    /// Returns `true` if the Bloom filter admits that `addr` may be
-    /// present, loading the filter on first use.
+    /// Returns `true` if the Bloom filter admits that the address `probe`
+    /// was hashed from may be present, loading the filter on first use. A
+    /// lookup hashes the address once and probes every run with it.
     ///
     /// # Errors
     ///
     /// Returns an error if a lazily-deferred filter cannot be loaded or
     /// fails its digest check.
-    pub fn may_contain(&self, addr: &Address) -> Result<bool> {
-        Ok(self.bloom.get()?.contains(addr))
+    pub fn may_contain(&self, probe: &BloomProbe) -> Result<bool> {
+        Ok(self.bloom.get()?.contains_probe(probe))
     }
 
     /// Returns `true` if the Bloom filter has been decoded (at build time,
@@ -1055,11 +957,10 @@ impl Run {
     /// Reads the entry at `position`, fetching its page and decoding just
     /// that entry.
     ///
-    /// This is the per-entry primitive; the multi-entry paths
+    /// This is the per-entry primitive; the key-addressed paths
     /// ([`position_le`](Run::position_le), [`get_latest`](Run::get_latest),
-    /// [`range_with_proof`](Run::range_with_proof)) go through
-    /// [`Run::pinned_page`] instead, which fetches and decodes each touched
-    /// page once.
+    /// [`range_with_proof`](Run::range_with_proof)) find their entries by
+    /// searching the value pages in place instead.
     ///
     /// # Errors
     ///
@@ -1071,145 +972,67 @@ impl Run {
                 self.meta.num_entries
             )));
         }
-        let page_id = position / ENTRIES_PER_PAGE as u64;
-        let slot = (position % ENTRIES_PER_PAGE as u64) as usize;
-        let page = self.value_file.read_page(page_id)?;
-        decode_entry(&page[slot * ENTRY_LEN..(slot + 1) * ENTRY_LEN])
+        let page = self
+            .value_file
+            .read_page(position / ENTRIES_PER_PAGE as u64)?;
+        decode_entry(entry_bytes(&page, position))
     }
 
-    /// Fetches and decodes one value-file page, bypassing the pinned slot.
-    fn decode_page(&self, page_id: u64) -> Result<PinnedPage> {
-        let entries: Arc<[(CompoundKey, StateValue)]> = self.read_value_page(page_id)?.into();
-        Ok(PinnedPage { page_id, entries })
-    }
-
-    /// Returns the decoded entries of one value-file page, reusing the
-    /// run's most recent decode when the page matches.
+    /// Finds the last entry whose key is `≤ key` (Algorithm 7), the search
+    /// step Algorithms 6 and 8 share. The learned index predicts a position
+    /// within ε, and the value pages around it are searched in place
+    /// ([`PageFile::locate`]): the query's 28-byte big-endian key is
+    /// compared with each probed entry's key prefix on the cached page
+    /// bytes, no entry is decoded, and the ε backstop steps to a neighbouring
+    /// page only when the predicted page's first or last key says the answer
+    /// lies there.
     ///
-    /// The slot remembers the answering page of the last lookup or scan, so
-    /// repeated queries landing on the same hot page skip the cache probe,
-    /// the fetch and the decode. Within one lookup the read paths carry the
-    /// decoded page locally instead — the slot is consulted or updated at
-    /// most twice per query, so concurrent readers of one run never
-    /// serialize on it per page access.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `page_id` is out of bounds or the read fails.
-    pub fn pinned_page(&self, page_id: u64) -> Result<PinnedPage> {
-        if let Some(page) = self.pinned.lookup(page_id) {
-            return Ok(page);
-        }
-        // Fetch and decode outside the lock; a racing thread at worst
-        // decodes the same page twice.
-        let page = self.decode_page(page_id)?;
-        self.pinned.pin(&page);
-        Ok(page)
-    }
-
-    /// [`Run::position_le`] that also returns the decoded page containing
-    /// the answer, so callers read the entry without another fetch. Pins the
-    /// answering page for the next query.
-    fn position_le_carry(&self, key: &CompoundKey) -> Result<Option<(u64, PinnedPage)>> {
-        let model = match self.index.find_bottom_model(key)? {
-            Some(m) => m,
-            None => return Ok(None),
+    /// Returns the entry's position (`None` if every entry is larger) and
+    /// the raw value page holding it (page 0 when `None`).
+    fn locate(&self, key: &CompoundKey) -> Result<(Option<u64>, Arc<[u8]>)> {
+        let predicted = self
+            .index
+            .find_bottom_model(key)?
+            .map_or(0, |model| model.predict(KeyNum::from(key)));
+        let entries = SortedRecords {
+            first_page: 0,
+            len: self.meta.num_entries,
+            record_len: ENTRY_LEN,
+            key_offset: 0,
         };
-        let key_num = KeyNum::from(key);
-        let predicted = model.predict(key_num).min(self.meta.num_entries - 1);
-        let total_pages = self
-            .meta
-            .num_entries
-            .div_ceil(ENTRIES_PER_PAGE as u64)
-            .max(1);
-        let mut page_id = predicted / ENTRIES_PER_PAGE as u64;
-        // The ε bound keeps the answer within one page of the prediction; the
-        // loop is a robustness backstop against floating-point slack. The
-        // first fetch consults the pinned slot (hot-page reuse across
-        // queries); the rare extra pages of the backstop are carried locally
-        // so the slot is not touched per page.
-        let mut carried: Vec<PinnedPage> = Vec::with_capacity(2);
-        let mut first_fetch = true;
-        loop {
-            let page = match carried.iter().find(|p| p.page_id == page_id) {
-                Some(page) => page.clone(),
-                None => {
-                    let page = if first_fetch {
-                        self.pinned_page(page_id)?
-                    } else {
-                        self.decode_page(page_id)?
-                    };
-                    first_fetch = false;
-                    carried.push(page.clone());
-                    page
-                }
-            };
-            let entries = page.entries();
-            let first = &entries[0].0;
-            let last = &entries[entries.len() - 1].0;
-            if key < first {
-                if page_id == 0 {
-                    return Ok(None);
-                }
-                page_id -= 1;
-                continue;
-            }
-            if key >= last && page_id + 1 < total_pages {
-                // The answer might still be on this page if the next page
-                // starts beyond the key.
-                let next_id = page_id + 1;
-                let next = match carried.iter().find(|p| p.page_id == next_id) {
-                    Some(page) => page.clone(),
-                    None => {
-                        let page = self.decode_page(next_id)?;
-                        carried.push(page.clone());
-                        page
-                    }
-                };
-                if next.entries()[0].0 <= *key {
-                    page_id += 1;
-                    continue;
-                }
-            }
-            // The answer is within this page (`first ≤ key` holds here, so
-            // the partition point is ≥ 1). Pin it for the next query.
-            let idx = entries.partition_point(|(k, _)| k <= key);
-            let global = page_id * ENTRIES_PER_PAGE as u64 + idx as u64 - 1;
-            self.pinned.pin_if_different(&page);
-            return Ok(Some((global, page)));
-        }
+        self.value_file.locate(&entries, &key.to_bytes(), predicted)
     }
 
     /// Finds the position of the last entry whose key is `≤ key`, using the
-    /// learned index (Algorithm 7). Returns `None` if every entry is larger.
+    /// learned index and an in-place search of the value pages around its
+    /// prediction (Algorithm 7). Returns `None` if every entry is larger.
     ///
     /// # Errors
     ///
     /// Returns an error if a file read fails.
     pub fn position_le(&self, key: &CompoundKey) -> Result<Option<u64>> {
-        Ok(self.position_le_carry(key)?.map(|(pos, _)| pos))
+        Ok(self.locate(key)?.0)
     }
 
     /// Returns the latest value of `addr` stored in this run, if any
     /// (Algorithm 6's per-run step: search with `⟨addr, max_int⟩`).
     ///
+    /// The search runs on the cached value-page bytes; the located entry's
+    /// address bytes are compared with `addr` in place, and only a match is
+    /// decoded.
+    ///
     /// # Errors
     ///
     /// Returns an error if a file read fails.
     pub fn get_latest(&self, addr: &Address) -> Result<Option<(CompoundKey, StateValue)>> {
-        let query = CompoundKey::latest(*addr);
-        let Some((pos, page)) = self.position_le_carry(&query)? else {
+        let (Some(pos), page) = self.locate(&CompoundKey::latest(*addr))? else {
             return Ok(None);
         };
-        // The descent returned the decoded page holding `pos`: the value
-        // fetch is a plain memory read, no second fetch or decode.
-        debug_assert_eq!(page.page_id(), pos / ENTRIES_PER_PAGE as u64);
-        let (key, value) = page.entries()[(pos % ENTRIES_PER_PAGE as u64) as usize];
-        if key.address() == *addr {
-            Ok(Some((key, value)))
-        } else {
-            Ok(None)
+        let entry = entry_bytes(&page, pos);
+        if entry[..ADDRESS_LEN] != addr.as_bytes()[..] {
+            return Ok(None);
         }
+        decode_entry(entry).map(Some)
     }
 
     /// Scans the value file for the provenance range `[lower, upper]`
@@ -1218,18 +1041,17 @@ impl Run {
     /// beginning of the run) and stops at the first entry `> upper` (which is
     /// included as the right boundary witness).
     ///
-    /// The scan is *page-granular*: each covered value page is fetched and
-    /// decoded exactly once (the page `position_le` descended to is carried
-    /// straight into the scan), instead of one fetch and one decode per
-    /// entry as a naive [`Run::entry_at`] loop would pay.
+    /// The start is found by the same in-place search as
+    /// [`get_latest`](Run::get_latest), which hands over the raw page it
+    /// ends on; the scan decodes only the entries from there to the first
+    /// key above `upper`, fetching each further page once.
     ///
     /// The proof's leaf-layer siblings — at most `m − 1` entries on each
-    /// side of the slice — are rehashed from the first and last pages the
-    /// scan decoded, so a run whose Merkle file has no leaf layer proves
+    /// side of the slice — are rehashed from the first and last raw pages
+    /// the scan holds, so a run whose Merkle file has no leaf layer proves
     /// exactly what a stored-leaf one does, with one Merkle page fewer. Only
     /// when a fanout-`m` group straddles a value page, which needs
-    /// `m ∤ 68`, is a neighbouring page fetched (through
-    /// [`Run::pinned_page`]).
+    /// `m ∤ 68`, is a neighbouring page read (through the page cache).
     ///
     /// # Errors
     ///
@@ -1239,46 +1061,36 @@ impl Run {
         lower: &CompoundKey,
         upper: &CompoundKey,
     ) -> Result<(RunRangeScan, RangeProof)> {
-        let start = self.position_le_carry(lower)?;
-        let first_pos = start.as_ref().map_or(0, |(pos, _)| *pos);
-        let mut carried = start.map(|(_, page)| page);
+        let (start, mut page) = self.locate(lower)?;
+        let first_pos = start.unwrap_or(0);
+        let mut page_id = first_pos / ENTRIES_PER_PAGE as u64;
+        let first_page = (page_id, Arc::clone(&page));
         let mut entries = Vec::new();
-        let mut last_pos = first_pos;
         let mut pos = first_pos;
-        let mut first_page: Option<PinnedPage> = None;
-        let mut last_page: Option<PinnedPage> = None;
-        'pages: while pos < self.meta.num_entries {
-            let page_id = pos / ENTRIES_PER_PAGE as u64;
-            let page = match carried.take().filter(|p| p.page_id == page_id) {
-                Some(page) => page,
-                None => self.decode_page(page_id)?,
-            };
-            let start_slot = (pos % ENTRIES_PER_PAGE as u64) as usize;
-            first_page.get_or_insert_with(|| page.clone());
-            last_page = Some(page.clone());
-            for (key, value) in &page.entries()[start_slot..] {
-                entries.push((*key, *value));
-                last_pos = pos;
-                pos += 1;
-                if *key > *upper {
-                    break 'pages;
-                }
+        loop {
+            let (key, value) = decode_entry(entry_bytes(&page, pos))?;
+            entries.push((key, value));
+            if key > *upper || pos + 1 == self.meta.num_entries {
+                break;
+            }
+            pos += 1;
+            if pos % ENTRIES_PER_PAGE as u64 == 0 {
+                page_id += 1;
+                page = self.value_file.read_page(page_id)?;
             }
         }
+        let last_pos = pos;
+        let edges = [first_page, (page_id, page)];
         let proof = self
             .merkle
             .range_proof_with(first_pos, last_pos, |position| {
                 let page_id = position / ENTRIES_PER_PAGE as u64;
-                let edges = first_page.iter().chain(&last_page);
-                let page = match edges.into_iter().find(|p| p.page_id == page_id) {
-                    Some(page) => page.clone(),
-                    None => self.pinned_page(page_id)?,
+                let page = match edges.iter().find(|(id, _)| *id == page_id) {
+                    Some((_, page)) => Arc::clone(page),
+                    None => self.value_file.read_page(page_id)?,
                 };
-                let slot = (position % ENTRIES_PER_PAGE as u64) as usize;
-                let (key, value) = page.entries().get(slot).ok_or_else(|| {
-                    ColeError::NotFound(format!("entry {position} is not on value page {page_id}"))
-                })?;
-                Ok(hash_entry(key, value))
+                let (key, value) = decode_entry(entry_bytes(&page, position))?;
+                Ok(hash_entry(&key, &value))
             })?;
         let scan = RunRangeScan {
             first_pos,
@@ -1332,21 +1144,6 @@ impl Run {
         }
         Ok(())
     }
-
-    /// Reads one value-file page as decoded entries (only the slots that hold
-    /// real entries, which matters for the final page).
-    fn read_value_page(&self, page_id: u64) -> Result<Vec<(CompoundKey, StateValue)>> {
-        let page = self.value_file.read_page(page_id)?;
-        let start = page_id * ENTRIES_PER_PAGE as u64;
-        let in_page = (self.meta.num_entries - start).min(ENTRIES_PER_PAGE as u64) as usize;
-        let mut out = Vec::with_capacity(in_page);
-        for slot in 0..in_page {
-            out.push(decode_entry(
-                &page[slot * ENTRY_LEN..(slot + 1) * ENTRY_LEN],
-            )?);
-        }
-        Ok(out)
-    }
 }
 
 /// A sequential reader over a run's value file with its own file handle.
@@ -1377,7 +1174,7 @@ impl RunEntryIter {
         }
         // Skip the zero padding at the end of a page.
         if self.slot_in_page == ENTRIES_PER_PAGE {
-            let mut pad = vec![0u8; PAGE_SIZE - ENTRIES_PER_PAGE * ENTRY_LEN];
+            let mut pad = [0u8; PAGE_SIZE - ENTRIES_PER_PAGE * ENTRY_LEN];
             self.reader.read_exact(&mut pad)?;
             self.slot_in_page = 0;
         }
@@ -1409,6 +1206,10 @@ mod tests {
 
     fn key(addr: u64, blk: u64) -> CompoundKey {
         CompoundKey::new(Address::from_low_u64(addr), blk)
+    }
+
+    fn probe(addr: u64) -> BloomProbe {
+        BloomProbe::new(&Address::from_low_u64(addr))
     }
 
     /// Builds a run with `versions` versions for each of `addresses` addresses.
@@ -1515,10 +1316,10 @@ mod tests {
         let dir = tmpdir("bloom");
         let run = build_run(&dir, 40, 2);
         for addr in 0..40u64 {
-            assert!(run.may_contain(&Address::from_low_u64(addr)).unwrap());
+            assert!(run.may_contain(&probe(addr)).unwrap());
         }
         let misses = (1000..2000u64)
-            .filter(|&a| run.may_contain(&Address::from_low_u64(a)).unwrap())
+            .filter(|&a| run.may_contain(&probe(a)).unwrap())
             .count();
         assert!(
             misses < 100,
@@ -1543,7 +1344,7 @@ mod tests {
         assert_eq!(reopened.commitment(), commitment);
         // First membership probe loads the filter, checked against the
         // digest the metadata committed to (that of the file bytes).
-        assert!(reopened.may_contain(&Address::from_low_u64(3)).unwrap());
+        assert!(reopened.may_contain(&probe(3)).unwrap());
         assert!(reopened.bloom_loaded());
         assert_eq!(
             sha256(&std::fs::read(dir.join("run_00000001.blm")).unwrap()),
@@ -1566,7 +1367,7 @@ mod tests {
         let reopened = Run::open(&dir, 1, RunContext::default()).unwrap();
         // …but the first use detects the corruption instead of silently
         // serving wrong membership answers.
-        let err = reopened.may_contain(&Address::from_low_u64(1)).unwrap_err();
+        let err = reopened.may_contain(&probe(1)).unwrap_err();
         assert!(err.to_string().contains("digest"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -4,9 +4,9 @@
 //! Same contract as [`cole_storage::sync`] (which this module re-exports
 //! the lock-recovery helpers from): a normal build aliases `std::sync`, a
 //! model-checking build (`RUSTFLAGS="--cfg loom"`) aliases the `loom` shim
-//! so the pinned-page slot, kill points and metrics counters can be
-//! explored under every bounded interleaving. See `ROADMAP.md`
-//! § "Concurrency analysis & lint gate".
+//! so the kill points and metrics counters can be explored under every
+//! bounded interleaving. See `ROADMAP.md` § "Concurrency analysis & lint
+//! gate".
 
 #[cfg(not(any(loom, lock_order)))]
 pub use std::sync::{

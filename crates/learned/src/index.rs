@@ -6,9 +6,9 @@ use std::sync::Arc;
 use cole_primitives::{
     models_per_page, ColeError, CompoundKey, KeyNum, Result, MODEL_LEN, PAGE_SIZE,
 };
-use cole_storage::{PageCache, PageFile, PageIoStats, PageWriter};
+use cole_storage::{PageCache, PageFile, PageIoStats, PageWriter, SortedRecords};
 
-use crate::model::Model;
+use crate::model::{Model, MODEL_KMIN_OFFSET};
 use crate::plr::EpsilonTrainer;
 
 /// Streaming builder of a run's index file (Algorithm 3).
@@ -125,9 +125,10 @@ impl IndexFileBuilder {
 /// Lookups descend from the top layer (which fits in one page) to the bottom
 /// layer. At each layer, the covering model of the layer above predicts the
 /// position of the covering model of this layer; at most two pages of the
-/// layer are read thanks to the ε bound (Algorithm 7, `QueryModel`). A
-/// defensive widening loop keeps the lookup correct even if floating-point
-/// rounding pushed a prediction slightly past the guarantee.
+/// layer are read thanks to the ε bound (Algorithm 7, `QueryModel`). The
+/// in-place page search steps on to a neighbouring page whenever the
+/// predicted one cannot hold the answer, so the lookup stays correct even if
+/// floating-point rounding pushed a prediction slightly past the guarantee.
 #[derive(Debug)]
 pub struct LearnedIndexFile {
     file: PageFile,
@@ -224,84 +225,28 @@ impl LearnedIndexFile {
             .sum()
     }
 
-    /// Decodes the model at `slot` of an already-fetched page.
-    fn model_from_page(page: &[u8], slot: usize) -> Result<Model> {
-        Model::from_bytes(&page[slot * MODEL_LEN..(slot + 1) * MODEL_LEN])
-    }
-
     /// Finds, within `layer`, the last model whose `kmin ≤ key`, starting the
-    /// search around `hint` (a predicted model index). Returns the model and
-    /// its index. If every model's `kmin` exceeds `key`, the first model of
-    /// the layer is returned.
+    /// search on the page of model `hint` (a predicted model index). If
+    /// every model's `kmin` exceeds `key`, the first model of the layer is
+    /// returned.
     ///
-    /// The search is *page-granular*: each page of the layer is fetched (one
-    /// logical page read, cache-served when a cache is attached) at most once
-    /// per call, even though the widening check and the binary search probe
-    /// several models on it — so the recorded page reads match the pages a
-    /// descent actually touches (Table 1's `O(2·depth)` bound).
-    fn find_in_layer(&self, layer: usize, key: KeyNum, hint: u64) -> Result<(Model, u64)> {
-        let count = self.layer_counts[layer];
-        let mpp = models_per_page() as u64;
-        let last_index = count - 1;
-        let hint = hint.min(last_index);
-        let first_page = self.layer_first_page(layer);
-        // Pages of this layer fetched so far in this call, keyed by the page
-        // index *within* the layer. The ε bound keeps the window at 2–3
-        // pages, so a linear probe beats any map.
-        let mut fetched: Vec<(u64, Arc<[u8]>)> = Vec::with_capacity(4);
-        let file = &self.file;
-        let mut page_bytes = |rel: u64| -> Result<Arc<[u8]>> {
-            if let Some((_, page)) = fetched.iter().find(|(r, _)| *r == rel) {
-                return Ok(Arc::clone(page));
-            }
-            let page = file.read_page(first_page + rel)?;
-            fetched.push((rel, Arc::clone(&page)));
-            Ok(page)
+    /// The search runs in place on the cached page bytes
+    /// ([`PageFile::locate`]): `key` is the query's 28-byte big-endian
+    /// serialization, compared with each probed model's `kmin` bytes —
+    /// which order exactly as [`KeyNum`]s do — and only the answer is
+    /// decoded. Each page of the layer is fetched at most once, so the
+    /// recorded page reads match the pages a descent actually touches
+    /// (Table 1's `O(2·depth)` bound).
+    fn find_in_layer(&self, layer: usize, key: &[u8], hint: u64) -> Result<Model> {
+        let models = SortedRecords {
+            first_page: self.layer_first_page(layer),
+            len: self.layer_counts[layer],
+            record_len: MODEL_LEN,
+            key_offset: MODEL_KMIN_OFFSET,
         };
-        let mut model_at = |index: u64| -> Result<Model> {
-            let page = page_bytes(index / mpp)?;
-            Self::model_from_page(&page, (index % mpp) as usize)
-        };
-        let mut page_lo = hint / mpp;
-        let mut page_hi = hint / mpp;
-        let max_page = last_index / mpp;
-        // Widen the page window until it provably brackets the covering model
-        // (ε guarantees this terminates after at most one widening step in
-        // practice; the loop is a numeric-robustness backstop).
-        loop {
-            let first_idx = page_lo * mpp;
-            let first = model_at(first_idx)?;
-            let last_idx = ((page_hi + 1) * mpp - 1).min(last_index);
-            let last = model_at(last_idx)?;
-            let need_left = key < KeyNum::from(first.kmin()) && page_lo > 0;
-            let need_right =
-                key >= KeyNum::from(last.kmin()) && last_idx < last_index && page_hi < max_page;
-            if !need_left && !need_right {
-                break;
-            }
-            if need_left {
-                page_lo -= 1;
-            }
-            if need_right {
-                page_hi += 1;
-            }
-        }
-        // Binary search across the bracketed index range; every probe hits an
-        // already-fetched page.
-        let mut lo = page_lo * mpp;
-        let mut hi = ((page_hi + 1) * mpp).min(count);
-        // Invariant: answer index is in [lo, hi).
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let m = model_at(mid)?;
-            if KeyNum::from(m.kmin()) <= key {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let model = model_at(lo)?;
-        Ok((model, lo))
+        let (found, page) = self.file.locate(&models, key, hint)?;
+        let slot = (found.unwrap_or(0) % models.per_page()) as usize;
+        Model::from_bytes(&page[slot * MODEL_LEN..(slot + 1) * MODEL_LEN])
     }
 
     /// Returns the bottom-layer model covering `key`, descending from the top
@@ -312,14 +257,13 @@ impl LearnedIndexFile {
     ///
     /// Returns an error if a page read fails.
     pub fn find_bottom_model(&self, key: &CompoundKey) -> Result<Option<Model>> {
+        let key_bytes = key.to_bytes();
         let key_num = KeyNum::from(key);
         let top = self.depth() - 1;
         // The top layer fits in one page: search it without a hint.
-        let (mut model, _) = self.find_in_layer(top, key_num, 0)?;
+        let mut model = self.find_in_layer(top, &key_bytes, 0)?;
         for layer in (0..top).rev() {
-            let hint = model.predict(key_num);
-            let (m, _) = self.find_in_layer(layer, key_num, hint)?;
-            model = m;
+            model = self.find_in_layer(layer, &key_bytes, model.predict(key_num))?;
         }
         Ok(Some(model))
     }

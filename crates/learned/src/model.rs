@@ -1,6 +1,10 @@
 //! ε-bounded piecewise linear models (Definition 1 of the paper).
 
-use cole_primitives::{ColeError, CompoundKey, KeyNum, Result, MODEL_LEN};
+use cole_primitives::{ColeError, CompoundKey, KeyNum, Result, COMPOUND_KEY_LEN, MODEL_LEN};
+
+/// Offset of the serialized `kmin` within a model's [`MODEL_LEN`] bytes,
+/// after the slope and the intercept.
+pub(crate) const MODEL_KMIN_OFFSET: usize = 16;
 
 /// An ε-bounded piecewise linear model `M = ⟨sl, ic, kmin, pmax⟩`.
 ///
@@ -79,7 +83,8 @@ impl Model {
         let mut out = [0u8; MODEL_LEN];
         out[0..8].copy_from_slice(&self.slope.to_le_bytes());
         out[8..16].copy_from_slice(&self.intercept.to_le_bytes());
-        out[16..16 + 28].copy_from_slice(&self.kmin.to_bytes());
+        out[MODEL_KMIN_OFFSET..MODEL_KMIN_OFFSET + COMPOUND_KEY_LEN]
+            .copy_from_slice(&self.kmin.to_bytes());
         out[44..52].copy_from_slice(&self.pmax.to_le_bytes());
         out
     }
@@ -102,7 +107,9 @@ impl Model {
         let slope = f64::from_le_bytes(f);
         f.copy_from_slice(&bytes[8..16]);
         let intercept = f64::from_le_bytes(f);
-        let kmin = CompoundKey::from_bytes(&bytes[16..44])?;
+        let kmin = CompoundKey::from_bytes(
+            &bytes[MODEL_KMIN_OFFSET..MODEL_KMIN_OFFSET + COMPOUND_KEY_LEN],
+        )?;
         f.copy_from_slice(&bytes[44..52]);
         let pmax = u64::from_le_bytes(f);
         Ok(Model {

@@ -53,6 +53,29 @@ proptest! {
         }
     }
 
+    /// `CompoundKey` order, the order of its `to_bytes()` serialization and
+    /// `KeyNum` order are one order — run and index searches compare the
+    /// serialized bytes in place of decoded keys or `KeyNum`s. `b` shares
+    /// its first `shared` bytes with `a`, so every byte position decides.
+    #[test]
+    fn key_byte_and_keynum_orders_agree(
+        a in arb_key(),
+        tail in arb_key(),
+        shared in 0usize..29,
+        pivot in any::<u8>(),
+    ) {
+        let mut bytes = a.to_bytes();
+        let rest = tail.to_bytes();
+        bytes[shared..].copy_from_slice(&rest[shared..]);
+        if let Some(byte) = bytes.get_mut(shared) {
+            *byte = pivot;
+        }
+        let b = CompoundKey::from_bytes(&bytes).unwrap();
+        let by_key = a.cmp(&b);
+        prop_assert_eq!(a.to_bytes()[..].cmp(&b.to_bytes()[..]), by_key);
+        prop_assert_eq!(KeyNum::from(a).cmp(&KeyNum::from(b)), by_key);
+    }
+
     /// Address hex display round-trips through parsing.
     #[test]
     fn address_display_roundtrip(addr in arb_address()) {

@@ -61,7 +61,7 @@ mod wal;
 pub use cache::{next_file_id, FileId, PageCache, PageIoStats};
 pub use fault::{FaultKind, FaultPlan};
 pub use kv::{FileKvStore, KvStore, MemKvStore};
-pub use page::{PageFile, PageWriter};
+pub use page::{PageFile, PageWriter, SortedRecords};
 pub use sync::{lock_recover, read_recover, write_recover};
 pub use util::{dir_size, sync_dir, write_durable};
 pub use wal::{replay_wal, WalBlock, WalIoCounters, WalSyncPolicy, WriteAheadLog};

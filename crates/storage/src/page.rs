@@ -489,6 +489,108 @@ impl PageWriter {
     }
 }
 
+/// A sorted array of fixed-width records laid out as a [`PageWriter`]
+/// writes them: `PAGE_SIZE / record_len` records to a page from
+/// `first_page` on, none straddling a page. Each record carries its sort
+/// key at `key_offset` as bytes whose lexicographic order is the key order
+/// (big-endian), so [`PageFile::locate`] can compare keys without decoding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SortedRecords {
+    /// Page holding record 0.
+    pub first_page: u64,
+    /// Number of records.
+    pub len: u64,
+    /// Bytes per record.
+    pub record_len: usize,
+    /// Offset of the key bytes within a record.
+    pub key_offset: usize,
+}
+
+impl SortedRecords {
+    /// Records per page.
+    #[must_use]
+    pub fn per_page(&self) -> u64 {
+        (PAGE_SIZE / self.record_len) as u64
+    }
+}
+
+impl PageFile {
+    /// Finds the last record of `records` whose key is `≤ key`, searching
+    /// the page bytes in place: keys are compared as bytes and no record is
+    /// decoded.
+    ///
+    /// The search starts on the page of record `hint` (a prediction, such
+    /// as a learned model's) and steps one page at a time while that page's
+    /// first or last key shows the answer lies beyond it. Each page is
+    /// fetched at most once, through the attached cache. Returns the
+    /// record's index — `None` if every key is greater — and the page it
+    /// lies on (the first page when `None`), so the caller reads the record
+    /// without a second fetch.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `records` is empty or a page read fails.
+    pub fn locate(
+        &self,
+        records: &SortedRecords,
+        key: &[u8],
+        hint: u64,
+    ) -> Result<(Option<u64>, Arc<[u8]>)> {
+        if records.len == 0 {
+            return Err(ColeError::InvalidState(
+                "cannot search an empty record array".into(),
+            ));
+        }
+        let per_page = records.per_page();
+        let last_page = (records.len - 1) / per_page;
+        // How `key` orders against the key of record `slot` on `page`.
+        let cmp = |page: &[u8], slot: u64| {
+            let at = slot as usize * records.record_len + records.key_offset;
+            key.cmp(&page[at..at + key.len()])
+        };
+        let fetch = |p: u64| self.read_page(records.first_page + p);
+        let mut p = hint.min(records.len - 1) / per_page;
+        let mut page = fetch(p)?;
+        // Page `p + 1` when the search already holds it — it stepped left
+        // off that page, so `key` sorts below its first key.
+        let mut after: Option<Arc<[u8]>> = None;
+        loop {
+            if cmp(&page, 0).is_lt() {
+                if p == 0 {
+                    return Ok((None, page));
+                }
+                p -= 1;
+                after = Some(std::mem::replace(&mut page, fetch(p)?));
+                continue;
+            }
+            let on_page = (records.len - p * per_page).min(per_page);
+            if cmp(&page, on_page - 1).is_ge() && p < last_page {
+                let next = match after.take() {
+                    Some(next) => next,
+                    None => fetch(p + 1)?,
+                };
+                if cmp(&next, 0).is_ge() {
+                    p += 1;
+                    page = next;
+                    continue;
+                }
+                return Ok((Some(p * per_page + on_page - 1), page));
+            }
+            // The first key is `≤ key`, so the partition point is ≥ 1.
+            let (mut lo, mut hi) = (1, on_page);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if cmp(&page, mid).is_ge() {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            return Ok((Some(p * per_page + lo - 1), page));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,6 +783,70 @@ mod tests {
         let mut w = PageWriter::create(&path, 16).unwrap();
         assert!(w.push(&[0u8; 15]).is_err());
         assert!(PageWriter::create(&path, 0).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+    #[test]
+    fn locate_finds_the_last_key_at_or_below_from_any_hint() {
+        // 600 records of 100 bytes (40 to a page) after one padded page of
+        // another array: even keys 2..=1200 as big-endian u32 at offset 3.
+        let path = tmp("locate");
+        let record_len = 100;
+        let mut w = PageWriter::create(&path, record_len).unwrap();
+        w.push(&[0xff; 100]).unwrap();
+        w.pad_page().unwrap();
+        let keys: Vec<u32> = (1..=600).map(|i| i * 2).collect();
+        for k in &keys {
+            let mut record = [0u8; 100];
+            record[3..7].copy_from_slice(&k.to_be_bytes());
+            w.push(&record).unwrap();
+        }
+        let mut f = w.finish().unwrap();
+        let stats = Arc::new(PageIoStats::new());
+        f.attach_stats(Arc::clone(&stats));
+        let records = SortedRecords {
+            first_page: 1,
+            len: keys.len() as u64,
+            record_len,
+            key_offset: 3,
+        };
+        let per_page = records.per_page();
+        for probe in [
+            0u32,
+            1,
+            2,
+            3,
+            79,
+            80,
+            81,
+            599,
+            600,
+            1199,
+            1200,
+            1201,
+            u32::MAX,
+        ] {
+            let expected = keys.iter().rposition(|&k| k <= probe).map(|i| i as u64);
+            for hint in [0, 39, 40, 41, 300, 599, 10_000] {
+                let before = stats.logical_reads();
+                let (found, page) = f.locate(&records, &probe.to_be_bytes(), hint).unwrap();
+                assert_eq!(found, expected, "probe {probe} hint {hint}");
+                let at = found.unwrap_or(0);
+                let offset = (at % per_page) as usize * record_len;
+                assert_eq!(
+                    page[offset + 3..offset + 7],
+                    keys[at as usize].to_be_bytes()
+                );
+                // One fetch per page between the hint's and the answer's,
+                // plus at most the page after the answer.
+                let span = (hint.min(599) / per_page).abs_diff(at / per_page);
+                assert!(
+                    stats.logical_reads() - before <= span + 2,
+                    "probe {probe} hint {hint}"
+                );
+            }
+        }
+        let empty = SortedRecords { len: 0, ..records };
+        assert!(f.locate(&empty, &[0; 4], 0).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -73,6 +73,37 @@ fn moving_a_version_to_another_block_is_detected() {
 }
 
 #[test]
+fn repeating_a_version_is_detected() {
+    let dir = tmpdir("repeat");
+    let (store, target, hstate) = build_store(&dir);
+    let result = store.prov_query(target, 10, 30).unwrap();
+    assert!(store.verify_prov(target, 10, 30, &result, hstate).unwrap());
+    // The node lists one version twice (e.g. to double-count a deposit).
+    let mut repeated = result.clone();
+    repeated.values.insert(1, repeated.values[0]);
+    assert!(!store
+        .verify_prov(target, 10, 30, &repeated, hstate)
+        .unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn reordering_versions_is_detected() {
+    let dir = tmpdir("reorder");
+    let (store, target, hstate) = build_store(&dir);
+    let result = store.prov_query(target, 10, 30).unwrap();
+    assert!(result.values.len() >= 2);
+    // The node lists the versions oldest first, so a client reading the
+    // first entry as the latest gets the oldest.
+    let mut reversed = result.clone();
+    reversed.values.reverse();
+    assert!(!store
+        .verify_prov(target, 10, 30, &reversed, hstate)
+        .unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn replaying_a_proof_for_a_different_range_or_address_fails() {
     let dir = tmpdir("replay");
     let (store, target, hstate) = build_store(&dir);
